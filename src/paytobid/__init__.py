@@ -9,9 +9,7 @@ simulator of the round-based game.
 from .attrition import (
     AttritionTable,
     bid_count_distribution,
-    end_probability,
     endgame_time_fraction,
-    exit_probability,
     expected_passage_time,
     prob_two_player_endgame,
 )
@@ -72,10 +70,8 @@ __all__ = [
     "bid_count_distribution",
     "bid_probability",
     "closed_form_revenue",
-    "end_probability",
     "endgame_time_fraction",
     "estimate_subgame_utility",
-    "exit_probability",
     "expected_entrants",
     "expected_passage_time",
     "hazard_rate",

@@ -1,35 +1,73 @@
-"""No-re-entry attrition dynamics of the bid/no-bid game.
+"""No-re-entry attrition as an absorbing Markov chain on the active count.
 
-Without re-entry the active set shrinks to the bidders of the previous
-round, so the game is a pure-death chain over player counts.  This
-module computes the per-round bidder-count distribution, first-passage
-round counts to a target player count, and the probability the game
-funnels through a two-player endgame, all by dynamic programming
-ascending in the player count.
+Without re-entry only the bidders of an effective round stay in the
+game, and the equilibrium is Markov perfect in the number of active
+players.  The game is therefore an absorbing chain on that count that
+only moves down (Kemeny & Snell, *Finite Markov Chains*, 1960).  With
+k players active each one stays out with q = lambda ** (1 / (k - 1)),
+and all-pass rounds are replayed, so the bidder count of an effective
+round is binomial conditioned on at least one bid:
+
+    T[k, m] = C(k, m) (1 - q)**m q**(k - m) / (1 - q**k),   m = 1..k.
+
+One bidder wins the object, so state 1 absorbs.  Every quantity below
+is an expectation x solving (I - Q) x = r over the states k >= 2, with
+x = 0 on the ended game; T is lower triangular, so ascending k is a
+forward substitution.  Rows are built in log space from lgamma, and
+the self-loop complement 1 - T[k, k] is summed from the row's other
+entries, so nothing overflows at large k and nothing cancels when
+T[k, k] is close to 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Callable, Dict, Iterator, Tuple
 
 import numpy as np
 
-from .equilibrium import AuctionParams, ParameterError, win_probability
-
-PASSAGE_VARIANTS = ("renewal", "absorption-weighted")
+from .equilibrium import AuctionParams, require_active_count, require_count, win_probability
 
 
-def exit_probability(params: AuctionParams, k: int) -> float:
-    """Per-player probability of playing No Bid with k active players.
+def _transition_rows(params: AuctionParams, ks: range) -> Iterator[np.ndarray]:
+    """Row k of the chain for each k in ks: entry m - 1 holds T[k, m]."""
+    log_lam = math.log(win_probability(params))
+    log_fact = np.array([math.lgamma(i + 1.0) for i in range(ks[-1] + 1)])
+    for k in ks:
+        m = np.arange(1, k + 1)
+        log_q = log_lam / (k - 1)
+        log_bid = math.log(-math.expm1(log_q))
+        log_busy = math.log(-math.expm1(k * log_q))  # replay normaliser 1 - q**k
+        yield np.exp(
+            log_fact[k] - log_fact[m] - log_fact[k - m]
+            + m * log_bid + (k - m) * log_q - log_busy
+        )
 
-    The complement of the bid probability: lambda ** (1 / (k - 1)) with
-    lambda = u(c) / u(v - s).
+
+def _solve(
+    params: AuctionParams,
+    n: int,
+    reward: Callable[[int, np.ndarray], object],
+    shape: Tuple[int, ...] = (),
+) -> np.ndarray:
+    """x[k] for k = 0..n solving x[k] = r[k] + sum_m T[k, m] x[m].
+
+    reward(k, row) gives r[k] from row k of T.  x is 0 on the ended
+    game (k <= 1), and a state whose reward is 0 and that leads only to
+    such states solves to 0, which is how a caller makes the states at
+    or below its target absorbing.  Holds O(n * prod(shape)) floats.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
-        raise ParameterError(f"active player count must be an integer >= 2, got {k!r}")
-    return math.exp(math.log(win_probability(params)) / (k - 1))
+    x = np.zeros((n + 1, *shape))
+    ks = range(2, n + 1)
+    for k, row in zip(ks, _transition_rows(params, ks)):
+        x[k] = (reward(k, row) + row[1 : k - 1] @ x[2:k]) / row[: k - 1].sum()
+    return x
+
+
+def _funnel_reward(k: int, row: np.ndarray) -> float:
+    """One-step chance of landing on exactly two players, from k >= 3."""
+    return float(row[1]) if k >= 3 else 0.0
 
 
 def bid_count_distribution(params: AuctionParams, k: int) -> np.ndarray:
@@ -37,71 +75,23 @@ def bid_count_distribution(params: AuctionParams, k: int) -> np.ndarray:
 
     Entry m-1 holds P(m bidders) = C(k, m) (1-q)**m q**(k-m) / (1 - q**k)
     for m = 1..k, with q the per-player exit probability; the zero-bid
-    outcome is conditioned away by the replay rule.
+    outcome is conditioned away by the replay rule.  Entry 0 is the
+    chance the round ends the game, the revenue module's hazard rate.
     """
-    q = exit_probability(params, k)
-    bid = 1.0 - q
-    norm = 1.0 - q**k
-    return np.array(
-        [math.comb(k, m) * bid**m * q ** (k - m) / norm for m in range(1, k + 1)]
-    )
+    require_active_count(k)
+    return next(_transition_rows(params, range(k, k + 1)))
 
 
-def end_probability(params: AuctionParams, k: int) -> float:
-    """Chance an effective round with k players ends the game.
-
-    P(exactly one bidder); numerically the same quantity as the revenue
-    module's hazard rate.
-    """
-    return float(bid_count_distribution(params, k)[0])
-
-
-def _passage_table(
-    params: AuctionParams, n_players: int, target: int, variant: str
-) -> Dict[int, float]:
-    """Expected rounds to reach <= target players, for every count up to n."""
-    if variant not in PASSAGE_VARIANTS:
-        raise ParameterError(
-            f"unknown passage-time variant {variant!r}; expected one of {PASSAGE_VARIANTS}"
-        )
-    expected: Dict[int, float] = {k: 0.0 for k in range(1, target + 1)}
-    for k in range(target + 1, n_players + 1):
-        dist = bid_count_distribution(params, k)
-        stay = float(dist[k - 1])  # all k players bid again
-        if variant == "renewal":
-            # Every effective round costs one round regardless of outcome.
-            numerator = 1.0
-        else:
-            # Weighs the step by the single-round absorption mass
-            # P(bidders <= target) instead of charging unit time; it
-            # understates round counts (the two-player geometric case
-            # collapses to 1.0) and exists only to measure the gap.
-            numerator = float(dist[:target].sum())
-        numerator += sum(
-            float(dist[j - 1]) * expected[j] for j in range(target + 1, k)
-        )
-        expected[k] = numerator / (1.0 - stay)
-    return expected
-
-
-def expected_passage_time(
-    params: AuctionParams, n_players: int, target: int, *, variant: str = "renewal"
-) -> float:
+def expected_passage_time(params: AuctionParams, n_players: int, target: int) -> float:
     """Expected effective rounds before <= target players remain.
 
     Defined for a start of n_players without re-entry; returns 0 when
     n_players <= target (nothing to wait for).  target = 1 is the
     expected length of the whole game.
     """
-    if not isinstance(target, int) or isinstance(target, bool) or target < 1:
-        raise ParameterError(f"target player count must be an integer >= 1, got {target!r}")
-    if not isinstance(n_players, int) or isinstance(n_players, bool) or n_players < 2:
-        raise ParameterError(
-            f"starting player count must be an integer >= 2, got {n_players!r}"
-        )
-    if n_players <= target:
-        return 0.0
-    return _passage_table(params, n_players, target, variant)[n_players]
+    require_count(target, 1, "target player count must be an integer >= 1, got {!r}")
+    require_count(n_players, 2, "starting player count must be an integer >= 2, got {!r}")
+    return float(_solve(params, n_players, lambda k, row: float(k > target))[n_players])
 
 
 def prob_two_player_endgame(params: AuctionParams, n_players: int) -> float:
@@ -112,18 +102,10 @@ def prob_two_player_endgame(params: AuctionParams, n_players: int) -> float:
     Requires n_players >= 3; with two starting players the event is
     vacuous.
     """
-    if not isinstance(n_players, int) or isinstance(n_players, bool) or n_players < 3:
-        raise ParameterError(
-            f"two-player endgame requires a start of at least 3 players, got {n_players!r}"
-        )
-    through: Dict[int, float] = {}
-    for k in range(3, n_players + 1):
-        dist = bid_count_distribution(params, k)
-        numerator = float(dist[1]) + sum(
-            float(dist[j - 1]) * through[j] for j in range(3, k)
-        )
-        through[k] = numerator / (1.0 - float(dist[k - 1]))
-    return through[n_players]
+    require_count(
+        n_players, 3, "two-player endgame requires a start of at least 3 players, got {!r}"
+    )
+    return float(_solve(params, n_players, _funnel_reward)[n_players])
 
 
 def endgame_time_fraction(params: AuctionParams, n_players: int) -> float:
@@ -133,10 +115,9 @@ def endgame_time_fraction(params: AuctionParams, n_players: int) -> float:
     toward zero as the value-to-fee ratio grows, i.e. the two-player
     war eats the whole game.
     """
-    if not isinstance(n_players, int) or isinstance(n_players, bool) or n_players < 3:
-        raise ParameterError(
-            f"endgame fraction requires a start of at least 3 players, got {n_players!r}"
-        )
+    require_count(
+        n_players, 3, "endgame fraction requires a start of at least 3 players, got {!r}"
+    )
     return expected_passage_time(params, n_players, 2) / expected_passage_time(
         params, n_players, 1
     )
@@ -160,16 +141,18 @@ class AttritionTable:
     @classmethod
     def build(cls, params: AuctionParams) -> "AttritionTable":
         n = params.n
-        dists = {k: bid_count_distribution(params, k) for k in range(2, n + 1)}
-        endgame = {k: prob_two_player_endgame(params, k) for k in range(3, n + 1)}
-        rounds: Dict[Tuple[int, int], float] = {}
-        for target in range(1, n):
-            table = _passage_table(params, n, target, "renewal")
-            for k in range(target + 1, n + 1):
-                rounds[(k, target)] = table[k]
+        ks = range(2, n + 1)
+        targets = np.arange(1, n)
+        # Column target - 1 holds the rounds to <= target from every start.
+        rounds = _solve(params, n, lambda k, row: targets < k, shape=(n - 1,))
+        funnel = _solve(params, n, _funnel_reward)
         return cls(
             win_prob=win_probability(params),
-            bid_count_dist=dists,
-            two_player_endgame_prob=endgame,
-            expected_rounds=rounds,
+            bid_count_dist=dict(zip(ks, _transition_rows(params, ks))),
+            two_player_endgame_prob={k: float(funnel[k]) for k in range(3, n + 1)},
+            expected_rounds={
+                (k, target): float(rounds[k, target - 1])
+                for k in ks
+                for target in range(1, k)
+            },
         )

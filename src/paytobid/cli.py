@@ -23,7 +23,7 @@ from .attrition import (
     expected_passage_time,
     prob_two_player_endgame,
 )
-from .equilibrium import AuctionParams, ParameterError, bid_probability, win_probability
+from .equilibrium import AuctionParams, EquilibriumPolicy, ParameterError
 from .revenue import DEFAULT_TRUNCATION_TOL, closed_form_revenue, revenue_series
 from .simulator import DEFAULT_ROUND_CAP, GameMode, run_replications
 from .utility import RiskCoefficientError, UtilityRangeError
@@ -258,16 +258,10 @@ def cmd_equilibrium(cfg: ExperimentConfig):
             row.update({"k": None, "bid_probability": None, "win_probability": None})
             rows.append(row)
             continue
-        lam = win_probability(params)
-        for k in range(2, params.n + 1):
+        policy = EquilibriumPolicy.from_params(params)
+        for k, p in policy.bid_prob.items():
             row = _base_row(fields, "OK", None)
-            row.update(
-                {
-                    "k": k,
-                    "bid_probability": bid_probability(params, k),
-                    "win_probability": lam,
-                }
-            )
+            row.update({"k": k, "bid_probability": p, "win_probability": policy.win_prob})
             rows.append(row)
     return columns, rows
 

@@ -73,12 +73,22 @@ class AuctionParams:
         return CarlUtility.from_value(self.rho)
 
 
-def _require_active_count(k: int) -> None:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
-        raise ParameterError(
-            f"active player count must be an integer >= 2, got {k!r}; "
-            "a one-player auction has already ended"
-        )
+def require_count(value: int, minimum: int, message: str) -> None:
+    """Raise ParameterError unless value is an int (not a bool) >= minimum.
+
+    message is formatted with the offending value: "... got {!r}".
+    """
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ParameterError(message.format(value))
+
+
+def require_active_count(k: int) -> None:
+    require_count(
+        k,
+        2,
+        "active player count must be an integer >= 2, got {!r}; "
+        "a one-player auction has already ended",
+    )
 
 
 def win_probability(params: AuctionParams) -> float:
@@ -91,12 +101,15 @@ def win_probability(params: AuctionParams) -> float:
     return u.evaluate(params.bid_fee) / u.evaluate(params.value - params.sale_price)
 
 
-def bid_probability(params: AuctionParams, k: int) -> float:
-    """Equilibrium probability of playing Bid with k active players."""
-    _require_active_count(k)
-    log_lam = math.log(win_probability(params))
+def _bid_probability(log_lam: float, k: int) -> float:
     # -expm1 keeps precision when the k-th root of lambda is close to 1.
     return -math.expm1(log_lam / (k - 1))
+
+
+def bid_probability(params: AuctionParams, k: int) -> float:
+    """Equilibrium probability of playing Bid with k active players."""
+    require_active_count(k)
+    return _bid_probability(math.log(win_probability(params)), k)
 
 
 @dataclass(frozen=True)
@@ -115,9 +128,7 @@ class EquilibriumPolicy:
     def from_params(cls, params: AuctionParams) -> "EquilibriumPolicy":
         lam = win_probability(params)
         log_lam = math.log(lam)
-        table = {
-            k: -math.expm1(log_lam / (k - 1)) for k in range(2, params.n + 1)
-        }
+        table = {k: _bid_probability(log_lam, k) for k in range(2, params.n + 1)}
         return cls(win_prob=lam, bid_prob=table)
 
 
@@ -127,7 +138,7 @@ def indifference_residual(params: AuctionParams, k: int, p: float) -> float:
     Returns u(value - sale_price) * (1 - p)**(k - 1) - u(bid_fee).
     Strictly decreasing in p, zero exactly at the equilibrium mix.
     """
-    _require_active_count(k)
+    require_active_count(k)
     if not 0.0 <= p <= 1.0:
         raise ParameterError(f"mixing probability must lie in [0, 1], got {p!r}")
     u = params.utility
@@ -144,7 +155,7 @@ def solve_equilibrium_by_bisection(
     valid parameter set, and strictly monotone in between, so plain
     bisection on [1e-15, 1 - 1e-15] converges to the unique root.
     """
-    _require_active_count(k)
+    require_active_count(k)
     if not tol > 0:
         raise ParameterError(f"tolerance must be positive, got {tol!r}")
     lo, hi = 1e-15, 1.0 - 1e-15

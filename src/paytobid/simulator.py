@@ -28,7 +28,7 @@ from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from .equilibrium import AuctionParams, EquilibriumPolicy, ParameterError
+from .equilibrium import AuctionParams, EquilibriumPolicy, ParameterError, require_count
 
 DEFAULT_ROUND_CAP = 10_000_000
 
@@ -117,8 +117,7 @@ def _philox_stream(master_seed: int, index: int) -> np.random.Generator:
     random-access streams from a single key, so any subset of them can
     run anywhere without changing the numbers drawn.
     """
-    if not isinstance(master_seed, int) or isinstance(master_seed, bool) or master_seed < 0:
-        raise ParameterError(f"master seed must be a non-negative integer, got {master_seed!r}")
+    require_count(master_seed, 0, "master seed must be a non-negative integer, got {!r}")
     return np.random.Generator(np.random.Philox(key=master_seed).jumped(index))
 
 

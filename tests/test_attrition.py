@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from paytobid import (
     AttritionTable,
@@ -11,9 +12,8 @@ from paytobid import (
     GameMode,
     ParameterError,
     bid_count_distribution,
-    end_probability,
+    bid_probability,
     endgame_time_fraction,
-    exit_probability,
     expected_passage_time,
     hazard_rate,
     prob_two_player_endgame,
@@ -37,24 +37,26 @@ def ladder_params(ratio, n=4):
 
 
 # ---------------------------------------------------------------------------
-# Exit probability and the bidder-count distribution.
+# Exit probability q = 1 - p(k) and the bidder-count distribution.
 # ---------------------------------------------------------------------------
 
 def test_exit_probability_values():
     two = attrition_params(2, 10)
-    assert exit_probability(two, 2) == pytest.approx(0.1, rel=1e-14)
+    assert 1.0 - bid_probability(two, 2) == pytest.approx(0.1, rel=1e-14)
     three = attrition_params(3, 10)
     # sqrt(0.1), frozen from the 50-digit evaluation.
-    assert exit_probability(three, 3) == pytest.approx(0.31622776601683794, rel=1e-13)
+    assert 1.0 - bid_probability(three, 3) == pytest.approx(0.31622776601683794, rel=1e-13)
 
 
 def test_exit_probability_vanishes_with_the_win_ratio():
-    assert exit_probability(ladder_params(1e6, n=2), 2) == pytest.approx(1e-6, rel=1e-10)
+    # q = 1e-6 at k = 2: P(one bidder) = 2 (1 - q) q / (1 - q**2) = 2q / (1 + q).
+    dist = bid_count_distribution(ladder_params(1e6, n=2), 2)
+    assert dist[0] == pytest.approx(2e-6 / (1.0 + 1e-6), rel=1e-10)
 
 
 def test_exit_probability_requires_two_players():
     with pytest.raises(ParameterError):
-        exit_probability(attrition_params(2, 10), 1)
+        bid_count_distribution(attrition_params(2, 10), 1)
 
 
 def test_distribution_matches_two_player_enumeration():
@@ -82,25 +84,26 @@ def test_distribution_concentrates_on_everyone_bidding():
 
 
 # ---------------------------------------------------------------------------
-# End probability is the hazard rate, module-independently.
+# End probability P(one bidder) is the hazard rate, module-independently.
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("money,rho", FEASIBLE_COMBOS)
 @pytest.mark.parametrize("k", range(2, 11))
 def test_end_probability_equals_hazard_rate(money, rho, k):
     params = make_params(money, rho=rho, n=10)
-    assert abs(end_probability(params, k) - hazard_rate(params, k)) <= 1e-12
+    assert abs(bid_count_distribution(params, k)[0] - hazard_rate(params, k)) <= 1e-12
 
 
 def test_end_probability_spot_values():
-    assert end_probability(attrition_params(2, 10), 2) == pytest.approx(0.18 / 0.99, rel=1e-12)
+    end = bid_count_distribution(attrition_params(2, 10), 2)[0]
+    assert end == pytest.approx(0.18 / 0.99, rel=1e-12)
     # q = 0.5 (bid probability one half): 2 * 0.25 / 0.75 = 2/3.
     half = AuctionParams(n=2, value=1.0, sale_price=0.0, bid_fee=0.5, rho=0.0)
-    assert end_probability(half, 2) == pytest.approx(2.0 / 3.0, rel=1e-12)
+    assert bid_count_distribution(half, 2)[0] == pytest.approx(2.0 / 3.0, rel=1e-12)
 
 
 def test_end_probability_vanishes_with_the_win_ratio():
-    assert end_probability(ladder_params(1e6, n=3), 3) < 1e-3
+    assert bid_count_distribution(ladder_params(1e6, n=3), 3)[0] < 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -140,17 +143,26 @@ def test_game_length_grows_with_value_fee_ratio():
     assert lengths[0] < lengths[1] < lengths[2]
 
 
-def test_absorption_weighted_variant_understates():
-    params = attrition_params(2, 10)
-    # The variant charges the absorption mass instead of unit time, so
-    # the two-player geometric case collapses to one round; the default
-    # renewal form keeps the 5.5-round answer the simulator reproduces.
-    assert expected_passage_time(params, 2, 1, variant="absorption-weighted") == pytest.approx(
-        1.0, rel=1e-12
-    )
-    assert expected_passage_time(params, 2, 1) == pytest.approx(5.5, rel=1e-12)
-    with pytest.raises(ParameterError):
-        expected_passage_time(params, 2, 1, variant="bogus")
+def test_chain_keeps_precision_when_rounds_repeat():
+    # At v/c = 1000 and rho = -0.05, lambda is about 1e-23: a round of
+    # three players leaves all three in with chance 1 - 1e-11, and
+    # 1 - T[k, k] taken as a difference keeps only five digits.
+    params = AuctionParams(n=3, value=1000.0, sale_price=0.0, bid_fee=1.0, rho=-0.05)
+    with mp.workdps(60):
+        rho = mpf(params.rho)
+        lam = mp.expm1(-rho * mpf(params.bid_fee)) / mp.expm1(-rho * mpf(params.value))
+
+        def row(k):
+            q = lam ** (mpf(1) / (k - 1))
+            return [mp.binomial(k, m) * (1 - q) ** m * q ** (k - m) / (1 - q**k) for m in range(k + 1)]
+
+        two, three = row(2), row(3)
+        to_two = 1 / (three[1] + three[2])
+        to_one = (1 + three[2] / two[1]) * to_two
+        funnel = three[2] * to_two
+    assert expected_passage_time(params, 3, 1) == pytest.approx(float(to_one), rel=1e-12)
+    assert expected_passage_time(params, 3, 2) == pytest.approx(float(to_two), rel=1e-12)
+    assert prob_two_player_endgame(params, 3) == pytest.approx(float(funnel), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

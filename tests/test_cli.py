@@ -180,6 +180,35 @@ def test_attrition_monte_carlo_columns(capsys):
     assert row["mc_two_player_fraction"] is not None
 
 
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        # Frozen from a 60-digit evaluation of the chain; C(1500, m)
+        # overflows a float.
+        (
+            ["--n", "1500", "--value", "100", "--bid-fee", "1"],
+            {
+                "expected_rounds_to_one": 47.443497937512176,
+                "expected_rounds_to_two": 4.5098425740352253,
+                "two_player_endgame_prob": 0.85017139333617723,
+            },
+        ),
+        # lambda is about 1e-23, so 1 - T[2, 2] rounds to 0 in floats.
+        (
+            ["--n", "2", "--value", "1000", "--bid-fee", "1", "--rho", "-0.05"],
+            {"expected_rounds_to_one": 5.0561679923540723e22, "expected_rounds_to_two": 0.0},
+        ),
+    ],
+)
+def test_attrition_at_the_edges_of_the_domain(capsys, argv, expected):
+    code, out, _ = run_cli(capsys, ["attrition", *argv])
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert row["status"] == "OK"
+    for column, value in expected.items():
+        assert row[column] == pytest.approx(value, rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ simulator of the round-based game.
 """
 
 from .attrition import (
+    AttritionProfile,
     AttritionTable,
+    attrition_profile,
     bid_count_distribution,
     endgame_time_fraction,
     expected_passage_time,
@@ -23,7 +25,9 @@ from .equilibrium import (
     win_probability,
 )
 from .revenue import (
+    SERIES_TERM_BUDGET,
     RevenueBreakdown,
+    SeriesLengthError,
     closed_form_revenue,
     expected_entrants,
     hazard_rate,
@@ -51,6 +55,7 @@ from .utility import (
 )
 
 __all__ = [
+    "AttritionProfile",
     "AttritionTable",
     "AuctionParams",
     "CarlUtility",
@@ -64,9 +69,12 @@ __all__ = [
     "RiskCoefficient",
     "RiskCoefficientError",
     "RoundOutcome",
+    "SERIES_TERM_BUDGET",
+    "SeriesLengthError",
     "SimulationResult",
     "UtilityEstimate",
     "UtilityRangeError",
+    "attrition_profile",
     "bid_count_distribution",
     "bid_probability",
     "closed_form_revenue",

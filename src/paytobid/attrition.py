@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Tuple
+from typing import Callable, Dict, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -108,6 +108,33 @@ def prob_two_player_endgame(params: AuctionParams, n_players: int) -> float:
     return float(_solve(params, n_players, _funnel_reward)[n_players])
 
 
+class AttritionProfile(NamedTuple):
+    """The attrition figures of one start, from a single chain solve."""
+
+    rounds_to_one: float
+    rounds_to_two: float
+    two_player_endgame_prob: Optional[float]  # None below three players
+
+
+def attrition_profile(params: AuctionParams, n_players: int) -> AttritionProfile:
+    """Rounds to <= 1 and <= 2 players, and the funnel, for one start.
+
+    Equals expected_passage_time at targets 1 and 2 and
+    prob_two_player_endgame, but solves the chain once with a
+    three-column reward instead of once per figure.
+    """
+    require_count(n_players, 2, "starting player count must be an integer >= 2, got {!r}")
+    rounds_to_one, rounds_to_two, funnel = _solve(
+        params,
+        n_players,
+        lambda k, row: (1.0, float(k > 2), _funnel_reward(k, row)),
+        shape=(3,),
+    )[n_players]
+    return AttritionProfile(
+        float(rounds_to_one), float(rounds_to_two), float(funnel) if n_players >= 3 else None
+    )
+
+
 def endgame_time_fraction(params: AuctionParams, n_players: int) -> float:
     """Share of the expected game length spent getting down to 2 players.
 
@@ -118,9 +145,8 @@ def endgame_time_fraction(params: AuctionParams, n_players: int) -> float:
     require_count(
         n_players, 3, "endgame fraction requires a start of at least 3 players, got {!r}"
     )
-    return expected_passage_time(params, n_players, 2) / expected_passage_time(
-        params, n_players, 1
-    )
+    profile = attrition_profile(params, n_players)
+    return profile.rounds_to_two / profile.rounds_to_one
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@
 Every subcommand is a pure function of its configuration and seed:
 rerunning with the same inputs reproduces the output byte for byte.
 Tables go to stdout as JSON or CSV (17 significant digits either way);
-diagnostics go to stderr.  Exit codes: 0 success, 2 configuration or
-invariant violation, 3 numerical failure (overflow guard tripped).
+diagnostics go to stderr.  Exit codes: 0 success, also when the reader
+of stdout closes it early (as `| head` does); 2 configuration or
+invariant violation; 3 numerical failure (an overflow guard tripped, or
+the fee series would need more terms than its budget).
 """
 
 from __future__ import annotations
@@ -14,17 +16,19 @@ import csv
 import io
 import itertools
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .attrition import (
-    endgame_time_fraction,
-    expected_passage_time,
-    prob_two_player_endgame,
-)
+from .attrition import attrition_profile
 from .equilibrium import AuctionParams, EquilibriumPolicy, ParameterError
-from .revenue import DEFAULT_TRUNCATION_TOL, closed_form_revenue, revenue_series
+from .revenue import (
+    DEFAULT_TRUNCATION_TOL,
+    SeriesLengthError,
+    closed_form_revenue,
+    revenue_series,
+)
 from .simulator import DEFAULT_ROUND_CAP, GameMode, run_replications
 from .utility import RiskCoefficientError, UtilityRangeError
 
@@ -338,14 +342,16 @@ def cmd_attrition(cfg: ExperimentConfig):
             row.update({c: None for c in columns[7:]})
             rows.append(row)
             continue
-        n = params.n
+        profile = attrition_profile(params, params.n)
         row = _base_row(fields, "OK", None)
         row.update(
             {
-                "expected_rounds_to_one": expected_passage_time(params, n, 1),
-                "expected_rounds_to_two": expected_passage_time(params, n, 2),
-                "endgame_time_fraction": endgame_time_fraction(params, n) if n >= 3 else None,
-                "two_player_endgame_prob": prob_two_player_endgame(params, n) if n >= 3 else None,
+                "expected_rounds_to_one": profile.rounds_to_one,
+                "expected_rounds_to_two": profile.rounds_to_two,
+                "endgame_time_fraction": (
+                    profile.rounds_to_two / profile.rounds_to_one if params.n >= 3 else None
+                ),
+                "two_player_endgame_prob": profile.two_player_endgame_prob,
                 "mc_mean_rounds_to_one": None,
                 "mc_se_rounds_to_one": None,
                 "mc_mean_rounds_to_two": None,
@@ -518,10 +524,16 @@ def main(argv=None) -> int:
     except (ConfigError, ParameterError, RiskCoefficientError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except UtilityRangeError as exc:
+    except (SeriesLengthError, UtilityRangeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    sys.stdout.write(text)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early, as `| head` does; that is not an
+        # error.  Point stdout at devnull so the flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

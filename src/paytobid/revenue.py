@@ -12,9 +12,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .equilibrium import AuctionParams, ParameterError, bid_probability
 
 DEFAULT_TRUNCATION_TOL = 1e-9
+# Most terms revenue_series will sum (about a second of work), and the
+# size of the numpy chunks it sums them in.
+SERIES_TERM_BUDGET = 100_000_000
+SERIES_CHUNK = 65_536
+
+
+class SeriesLengthError(ArithmeticError):
+    """The fee series cannot reach its tolerance within SERIES_TERM_BUDGET terms."""
 
 
 @dataclass(frozen=True)
@@ -59,10 +69,18 @@ def revenue_series(
 ) -> float:
     """Fee income summed round by round under stationary mixing.
 
-    Evaluates sum_t (1-h)**(t-1) * c * Q term by term and stops once the
-    exact geometric tail (1-h)**t * c * Q / h drops below the
-    truncation tolerance.  Returns the fee component only; add the sale
-    price for the total.  Defined for the stationary (re-entry) regime.
+    Sums c * Q * (1-h)**(t-1) over rounds t = 1..T, where T is the first
+    round whose exact geometric tail (1-h)**T * c * Q / h falls below the
+    truncation tolerance; T is worked out from that tail before anything
+    is summed.  The weights are powers of 1 - h as rounded to a float,
+    evaluated in numpy chunks of at most SERIES_CHUNK terms whose partial
+    sums are added exactly.  That rounding moves h by up to about 1e-16,
+    so the relative error of the sum is about 1e-16 / h.  Returns the
+    fee component only; add the sale price for the total.  Defined for
+    the stationary (re-entry) regime.
+
+    Raises SeriesLengthError, without summing, when h rounds to 0 or T
+    exceeds SERIES_TERM_BUDGET; the closed form still holds there.
     """
     if not truncation_tol > 0:
         raise ParameterError(
@@ -70,24 +88,27 @@ def revenue_series(
         )
     h = hazard_rate(params, params.n)
     per_round_fees = params.bid_fee * expected_entrants(params, params.n)
+    if h == 0.0:
+        raise SeriesLengthError(
+            "the hazard rate rounds to 0, so the fee series never reaches its tolerance"
+        )
+    # T is the first t with t * log(1 - h) < log(tol * h / (c * Q)).  A
+    # hazard that rounds up to 1 ends every game in its first round.
+    log_decay = math.log1p(-h) if h < 1.0 else -math.inf
+    log_tail = math.log(truncation_tol) + math.log(h) - math.log(per_round_fees)
+    count = log_tail / log_decay if log_tail < 0.0 else 0.0
+    if count >= SERIES_TERM_BUDGET:
+        raise SeriesLengthError(
+            f"the fee series needs about {count:.3g} terms at hazard {h:.3g} to reach "
+            f"tolerance {truncation_tol:.3g}; the budget is {SERIES_TERM_BUDGET} terms"
+        )
+    terms = math.floor(count) + 1
     decay = 1.0 - h
-    # Kahan-compensated sum, with the survival weight recomputed by a
-    # direct power every 256 rounds: a small hazard can need millions
-    # of terms, and without both fixes the accumulated drift swamps
-    # the truncation tolerance.
-    fee = 0.0
-    compensation = 0.0
-    survival = 1.0
-    t = 0
-    while True:
-        term = survival * per_round_fees - compensation
-        new_fee = fee + term
-        compensation = (new_fee - fee) - term
-        fee = new_fee
-        t += 1
-        survival = decay**t if t % 256 == 0 else survival * decay
-        if survival * per_round_fees / h < truncation_tol:
-            return fee
+    chunks = (
+        np.power(decay, np.arange(lo, min(lo + SERIES_CHUNK, terms), dtype=np.float64)).sum()
+        for lo in range(0, terms, SERIES_CHUNK)
+    )
+    return per_round_fees * math.fsum(chunks)
 
 
 def closed_form_revenue(params: AuctionParams) -> RevenueBreakdown:

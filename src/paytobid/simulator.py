@@ -11,11 +11,18 @@ without it, the active set of the next round is the set of bidders.
 Two engines play these rules.  ``play_one_game`` is the scalar
 reference: one game, one Python loop, a full per-round log on request.
 ``run_replications`` plays games in lockstep blocks of BLOCK_SIZE
-replications with numpy, one row of uniforms per running game and
-step.  Replications are cut into consecutive blocks, and block b owns
-the counter-based random stream derived from (master_seed, b).  Workers
-receive whole blocks and the reduction runs in replication order, so
-results are bit-reproducible and independent of the worker count.
+replications with numpy, one raw round of every running game per step.
+With re-entry a step draws one row of n uniforms per game, as the
+scalar engine does.  Without re-entry the equilibrium is Markov in the
+active count k (Kemeny & Snell, *Finite Markov Chains*, 1960), so a
+game keeps only k and a step draws one binomial(k, p(k)) bidder count;
+players are then known only as holdings, groups who left in the same
+round with the same bids, and a block holds O(games + rounds) values
+whatever n is.  Replications are cut into consecutive blocks, and
+block b owns the counter-based random stream derived from
+(master_seed, b).  Workers receive whole blocks and the reduction runs
+in replication order, so results are bit-reproducible and independent
+of the worker count.
 """
 
 from __future__ import annotations
@@ -227,23 +234,35 @@ BLOCK_SIZE = 4096
 
 
 class BlockRecord(NamedTuple):
-    """Per-game outcome arrays of one block, one row per replication.
+    """Per-game outcome arrays of one block, and the holdings of its players.
 
-    The fields mirror GameRecord without the round log.  winner is -1
-    for a truncated game.  rounds_to_at_most_two is 0 while a game has
+    The per-game fields, one entry per replication, mirror GameRecord
+    without the round log.  rounds_to_at_most_two is 0 while a game has
     not reached two or fewer bidders, and like reached_two_player_state
     is tracked only without re-entry and with more than two players.
+
+    A holding is a group of players of one game who end it alike:
+    ``players`` players of game ``holder`` each made ``bid_counts`` bids
+    and end with ``net_money``.  With re-entry the holding arrays are
+    (size x n) matrices, one player per entry in roster order, and
+    winner is the winning player's index.  Without re-entry players
+    carry no labels: the arrays are flat, with one holding per group of
+    players who stopped in the same round and one for the winner (or for
+    the survivors at the round cap), and winner is the flat index of the
+    winner's holding.  winner is -1 for a truncated game.
     """
 
     winner: np.ndarray
-    net_money: np.ndarray
     revenue: np.ndarray
-    bid_counts: np.ndarray
     effective_length: np.ndarray
     raw_length: np.ndarray
     truncated: np.ndarray
     rounds_to_at_most_two: np.ndarray
     reached_two_player_state: np.ndarray
+    holder: np.ndarray
+    players: np.ndarray
+    bid_counts: np.ndarray
+    net_money: np.ndarray
 
 
 def _bid_prob_table(params: AuctionParams) -> np.ndarray:
@@ -264,71 +283,149 @@ def _play_block(
 ) -> BlockRecord:
     """Play ``size`` games in lockstep under the rules of play_one_game.
 
-    Each step is one raw round of every running game: an (alive x n)
-    matrix of uniforms, masked to the active players without re-entry
-    and compared against p(k) of each game's active count.  A row with
-    no bid is replayed, a row with one bid ends its game, and a game
+    Each step is one raw round of every running game.  A round with no
+    bid is replayed, a round with one bid ends its game, and a game
     stops flagged as truncated after ``round_cap`` effective rounds.
+    With re-entry a step draws one row of n uniforms per running game
+    and compares it against p(n), as play_one_game does.  Without
+    re-entry the equilibrium is Markov in the active count, so a game
+    keeps only its count k and a step draws one binomial(k, p(k))
+    bidder count per running game.
     """
+    play = _play_count_block if mode is GameMode.NO_REENTRY else _play_roster_block
+    return play(params, bid_prob, rng, size, round_cap)
+
+
+def _settle(params: AuctionParams, winner, total_bids, bid_counts, won) -> tuple:
+    """Seller revenue per game and net money per holding.
+
+    Every bid pays the fee.  A game with a winner adds the sale price to
+    the revenue, and the winners' holdings, indexed by ``won``, gain
+    value - sale_price.
+    """
+    fee = params.bid_fee
+    sold = winner >= 0
+    revenue = fee * total_bids.astype(np.float64)
+    revenue[sold] = params.sale_price + revenue[sold]
+    net = -fee * bid_counts.astype(np.float64)
+    net[won] += params.value - params.sale_price
+    return revenue, net
+
+
+def _play_roster_block(params, bid_prob, rng, size, round_cap) -> BlockRecord:
+    """_play_block with re-entry: every player draws in every raw round."""
     n = params.n
-    no_reentry = mode is GameMode.NO_REENTRY
-    track_two = no_reentry and n > 2
     games = np.arange(size)  # replication slots still playing
-    active = np.ones((size, n), dtype=bool)  # rows follow ``games``
     bid_counts = np.zeros((size, n), dtype=np.int64)
     effective = np.zeros(size, dtype=np.int64)
     raw = np.zeros(size, dtype=np.int64)
     winner = np.full(size, -1, dtype=np.int64)
     truncated = np.zeros(size, dtype=bool)
-    rounds_to_two = np.zeros(size, dtype=np.int64)
-    reached_two = np.zeros(size, dtype=bool)
     step = 0
     while games.size:
         step += 1
-        draws = rng.random((games.size, n))
-        if no_reentry:
-            bids = (draws < bid_prob[active.sum(axis=1)][:, None]) & active
-        else:
-            bids = draws < bid_prob[n]
+        bids = rng.random((games.size, n)) < bid_prob[n]
         n_bid = bids.sum(axis=1)
         played = np.flatnonzero(n_bid)  # rows that made an effective round
-        g, b, nb = games[played], bids[played], n_bid[played]
+        g, b = games[played], bids[played]
         effective[g] += 1
         bid_counts[g] += b
-        if track_two:
-            first = (nb <= 2) & (rounds_to_two[g] == 0)
-            rounds_to_two[g[first]] = effective[g[first]]
-            reached_two[g[nb == 2]] = True
-        ended = nb == 1
+        ended = n_bid[played] == 1
         winner[g[ended]] = b[ended].argmax(axis=1)
         capped = ~ended & (effective[g] >= round_cap)
         truncated[g[capped]] = True
-        if no_reentry:
-            active[played] = b
         done = played[ended | capped]
         if done.size:
             raw[games[done]] = step  # every step was a raw round of each game
             keep = np.ones(games.size, dtype=bool)
             keep[done] = False
             games = games[keep]
-            active = active[keep]
 
-    fee = params.bid_fee
-    won = np.flatnonzero(winner >= 0)
-    net = -fee * bid_counts.astype(np.float64)
-    net[won, winner[won]] += params.value - params.sale_price
-    revenue = fee * bid_counts.sum(axis=1).astype(np.float64)
-    revenue[won] = params.sale_price + revenue[won]
+    sold = np.flatnonzero(winner >= 0)
+    revenue, net = _settle(
+        params, winner, bid_counts.sum(axis=1), bid_counts, (sold, winner[sold])
+    )
+    untracked = np.zeros(size, dtype=np.int64)
     return BlockRecord(
         winner=winner,
-        net_money=net,
         revenue=revenue,
+        effective_length=effective,
+        raw_length=raw,
+        truncated=truncated,
+        rounds_to_at_most_two=untracked,
+        reached_two_player_state=untracked.astype(bool),
+        holder=np.broadcast_to(np.arange(size)[:, None], (size, n)),
+        players=np.broadcast_to(np.int64(1), (size, n)),
         bid_counts=bid_counts,
+        net_money=net,
+    )
+
+
+def _play_count_block(params, bid_prob, rng, size, round_cap) -> BlockRecord:
+    """_play_block without re-entry: one bidder count per game and raw round.
+
+    With k players active, m = 0 bidders is a replay.  Any m >= 1 is an
+    effective round, after which the k - m players who passed stop for
+    good holding one bid fewer than the rounds played, since they bid
+    in every round before.  m = 1 ends the game with the winner holding
+    one bid per round; at the round cap the m survivors hold as much and
+    nothing is sold.  A block holds O(size + effective rounds) values
+    whatever the player count.
+    """
+    n = params.n
+    track_two = n > 2
+    games = np.arange(size)  # replication slots still playing
+    active = np.full(size, n, dtype=np.int64)  # active count, follows ``games``
+    total_bids = np.zeros(size, dtype=np.int64)
+    effective = np.zeros(size, dtype=np.int64)
+    raw = np.zeros(size, dtype=np.int64)
+    truncated = np.zeros(size, dtype=bool)
+    rounds_to_two = np.zeros(size, dtype=np.int64)
+    reached_two = np.zeros(size, dtype=bool)
+    held = []  # (holder, players, bid_counts, won) of the holdings closed per step
+    step = 0
+    while games.size:
+        step += 1
+        bidders = rng.binomial(active, bid_prob[active])
+        played = np.flatnonzero(bidders)  # games that made an effective round
+        g, k, m = games[played], active[played], bidders[played]
+        effective[g] += 1
+        rounds = effective[g]
+        total_bids[g] += m
+        if track_two:
+            first = (m <= 2) & (rounds_to_two[g] == 0)
+            rounds_to_two[g[first]] = rounds[first]
+            reached_two[g[m == 2]] = True
+        ended = m == 1
+        capped = ~ended & (rounds >= round_cap)
+        truncated[g[capped]] = True
+        stop = k > m
+        held.append((g[stop], k[stop] - m[stop], rounds[stop] - 1, np.zeros(stop.sum(), bool)))
+        done = ended | capped
+        held.append((g[done], m[done], rounds[done], ended[done]))
+        active[played] = m
+        if done.any():
+            raw[g[done]] = step  # every step was a raw round of each game
+            keep = np.ones(games.size, dtype=bool)
+            keep[played[done]] = False
+            games, active = games[keep], active[keep]
+
+    holder, players, bid_counts, won = (np.concatenate(part) for part in zip(*held))
+    winner = np.full(size, -1, dtype=np.int64)
+    winner[holder[won]] = np.flatnonzero(won)
+    revenue, net = _settle(params, winner, total_bids, bid_counts, won)
+    return BlockRecord(
+        winner=winner,
+        revenue=revenue,
         effective_length=effective,
         raw_length=raw,
         truncated=truncated,
         rounds_to_at_most_two=rounds_to_two,
         reached_two_player_state=reached_two,
+        holder=holder,
+        players=players,
+        bid_counts=bid_counts,
+        net_money=net,
     )
 
 
@@ -359,7 +456,11 @@ def _simulate_blocks(
         # One kernel call per distinct amount keeps its range checks.
         amounts, where = np.unique(initial_wealth + game.net_money, return_inverse=True)
         utility = np.array([u.evaluate(float(x)) for x in amounts])
-        per_player = utility[where.reshape(game.net_money.shape)]
+        held = utility[where.reshape(game.net_money.shape)] * game.players
+        if held.ndim == 2:  # re-entry: a row per game, summed along the roster
+            per_game = held.sum(axis=1)
+        else:
+            per_game = np.bincount(game.holder, held, minlength=size)
         untracked = np.full(size, np.nan)
         parts.append(
             np.column_stack(
@@ -367,7 +468,7 @@ def _simulate_blocks(
                     game.revenue,
                     game.effective_length,
                     game.raw_length,
-                    per_player.sum(axis=1) / params.n,
+                    per_game / params.n,
                     game.rounds_to_at_most_two if track_two else untracked,
                     game.reached_two_player_state if track_two else untracked,
                     game.truncated,

@@ -12,6 +12,7 @@ from paytobid import (
     GameMode,
     ParameterError,
     bid_count_distribution,
+    attrition_profile,
     bid_probability,
     endgame_time_fraction,
     expected_passage_time,
@@ -226,6 +227,26 @@ def test_attrition_table_is_consistent_with_pointwise_ops():
     for (k, target), rounds in table.expected_rounds.items():
         assert target < k
         assert rounds == pytest.approx(expected_passage_time(params, k, target), rel=1e-15)
+
+
+@pytest.mark.parametrize("ratio", LADDER)
+@pytest.mark.parametrize("n", [2, 3, 10, 150])
+def test_profile_matches_the_pointwise_ops(n, ratio):
+    params = ladder_params(ratio, n)
+    profile = attrition_profile(params, n)
+    assert profile.rounds_to_one == pytest.approx(expected_passage_time(params, n, 1), rel=1e-12)
+    assert profile.rounds_to_two == pytest.approx(expected_passage_time(params, n, 2), rel=1e-12)
+    if n >= 3:
+        assert profile.two_player_endgame_prob == pytest.approx(
+            prob_two_player_endgame(params, n), rel=1e-12
+        )
+    else:
+        assert profile.two_player_endgame_prob is None
+
+
+def test_profile_requires_two_players():
+    with pytest.raises(ParameterError):
+        attrition_profile(attrition_params(3, 10), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -79,6 +80,15 @@ def test_revenue_row_matches_library(capsys):
     assert row["total"] == breakdown.total
     assert abs(row["series_total"] - row["total"]) <= 1e-9 + 1e-9
     assert row["mc_mean_revenue"] is None
+
+
+@pytest.mark.parametrize("n", ["2", "3"])
+def test_revenue_series_beyond_its_budget_exits_3(capsys, n):
+    argv = ["--n", n, "--value", "100", "--sale-price", "5", "--bid-fee", "0.5", "--rho", "-0.5"]
+    code, out, err = run_cli(capsys, ["revenue", *argv])
+    assert code == 3
+    assert out == ""
+    assert "fee series" in err
 
 
 def test_revenue_monte_carlo_column(capsys):
@@ -312,3 +322,21 @@ def test_console_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0].startswith("status,reason,n,")
+
+
+def test_closed_stdout_ends_quietly():
+    # Python buffers stdout by default and then reports the closed pipe
+    # on write; half a megabyte of output overfills any pipe buffer.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "paytobid.cli", "equilibrium", "--n", "2000", *BASE[2:]],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert err == b""

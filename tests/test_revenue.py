@@ -6,6 +6,7 @@ from paytobid import (
     AuctionParams,
     GameMode,
     ParameterError,
+    SeriesLengthError,
     bid_probability,
     closed_form_revenue,
     expected_entrants,
@@ -107,6 +108,15 @@ def test_series_agrees_with_closed_form(money, rho, n):
     tol = 1e-9
     series_total = revenue_series(params, tol) + params.sale_price
     assert abs(series_total - closed_form_revenue(params).total) <= tol + 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_series_refuses_a_vanishing_hazard(n):
+    # At n = 2 the hazard rounds to 0; at n = 3 it is about 2e-21, and
+    # the tolerance would take about 3e22 terms.
+    params = make_params((100.0, 5.0, 0.5), rho=-0.5, n=n)
+    with pytest.raises(SeriesLengthError):
+        revenue_series(params)
 
 
 def test_series_requires_positive_tolerance():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +45,42 @@ class ForcedStream:
 
 BID = 0.0     # certainly below any interior bid probability
 PASS = 0.999  # certainly above any bid probability on these grids
+
+
+class ScriptedBinomials:
+    """Plays back scripted bidder counts, one array per raw round.
+
+    Each entry is (active counts the engine must ask about, bidder
+    counts to return), both over the running games in slot order.
+    """
+
+    def __init__(self, table, rounds):
+        self.table = table
+        self.rounds = list(rounds)
+
+    def binomial(self, k, p):
+        expected, bidders = self.rounds.pop(0)
+        assert k.tolist() == expected
+        assert p.tolist() == self.table[expected].tolist()
+        return np.asarray(bidders, dtype=np.int64)
+
+
+def holdings_of(block, game):
+    """Sorted (bids, players, net money) of one game of a no-re-entry block."""
+    mine = block.holder == game
+    return sorted(
+        zip(
+            block.bid_counts[mine].tolist(),
+            block.players[mine].tolist(),
+            block.net_money[mine].tolist(),
+        )
+    )
+
+
+def per_player_bids(block, n):
+    """(games x n) bid counts of a no-re-entry block, players in no set order."""
+    order = np.argsort(block.holder, kind="stable")
+    return np.repeat(block.bid_counts[order], block.players[order]).reshape(-1, n)
 
 
 def reentry_setup(n=3):
@@ -333,12 +370,27 @@ def test_batched_engine_matches_scalar_distributions(mode):
     assert not block.truncated.any()
     samples = {
         "effective length": ([g.effective_length for g in scalar], block.effective_length),
+        "raw length": ([g.raw_length for g in scalar], block.raw_length),
         "revenue": ([g.revenue for g in scalar], block.revenue),
     }
-    for player in range(params.n):
-        samples[f"bids of player {player}"] = (
-            [g.bid_counts[player] for g in scalar],
-            block.bid_counts[:, player],
+    if mode is GameMode.WITH_REENTRY:
+        for player in range(params.n):
+            samples[f"bids of player {player}"] = (
+                [g.bid_counts[player] for g in scalar],
+                block.bid_counts[:, player],
+            )
+    else:
+        samples["rounds to two"] = (
+            [g.rounds_to_at_most_two for g in scalar],
+            block.rounds_to_at_most_two,
+        )
+        # The count-level engine does not label players.  They are
+        # exchangeable, so one player drawn uniformly from each game bids
+        # like the scalar engine's player 0.
+        chosen = np.random.default_rng(4444).integers(params.n, size=DIFFERENTIAL_GAMES)
+        samples["bids of a uniformly chosen player"] = (
+            [g.bid_counts[0] for g in scalar],
+            per_player_bids(block, params.n)[np.arange(DIFFERENTIAL_GAMES), chosen],
         )
     for label, (reference, batched) in samples.items():
         p_value = stats.ks_2samp(reference, batched).pvalue
@@ -367,6 +419,95 @@ def test_single_game_block_replays_the_scalar_game(round_cap):
         assert block.effective_length[0] == game.effective_length
         assert block.raw_length[0] == game.raw_length
         assert block.truncated[0] == game.truncated
+
+
+# ---------------------------------------------------------------------------
+# The count-level engine of no-re-entry games.
+# ---------------------------------------------------------------------------
+
+def test_count_block_accounts_for_every_round():
+    params = make_params((100.0, 5.0, 0.5), n=5)
+    table = _bid_prob_table(params)
+    script = ScriptedBinomials(
+        table,
+        [
+            ([5, 5, 5], [0, 5, 1]),  # game 0 replays, all of 1 bid, 2 has one bidder
+            ([5, 5], [3, 2]),  # two players of game 0 and three of game 1 stop
+            ([3, 2], [2, 0]),  # one more of game 0 stops; game 1 replays
+            ([2, 2], [2, 1]),  # game 0 stays at two; game 1 ends
+            ([2], [0]),  # game 0 replays
+            ([2], [1]),  # game 0 ends
+        ],
+    )
+    block = _play_block(params, GameMode.NO_REENTRY, table, script, 3, DEFAULT_ROUND_CAP)
+    assert not script.rounds
+    assert block.effective_length.tolist() == [4, 3, 1]
+    assert block.raw_length.tolist() == [6, 4, 1]  # 2, 1 and 0 replays
+    assert not block.truncated.any()
+    assert block.rounds_to_at_most_two.tolist() == [2, 2, 1]
+    assert block.reached_two_player_state.tolist() == [True, True, False]
+    # Players who stop after round r hold r - 1 bids; the winner holds
+    # one bid per round and gains value - sale_price = 95.
+    assert holdings_of(block, 0) == [(0, 2, 0.0), (1, 1, -0.5), (3, 1, -1.5), (4, 1, 93.0)]
+    assert holdings_of(block, 1) == [(1, 3, -0.5), (2, 1, -1.0), (3, 1, 93.5)]
+    assert holdings_of(block, 2) == [(0, 4, 0.0), (1, 1, 94.5)]
+    # Sale price plus the fee on 8, 8 and 1 bids.
+    assert block.revenue.tolist() == [9.0, 9.0, 5.5]
+    for game, rounds in enumerate([4, 3, 1]):
+        held = block.winner[game]
+        assert block.holder[held] == game
+        assert (block.bid_counts[held], block.players[held]) == (rounds, 1)
+
+
+def test_count_block_truncates_at_the_round_cap():
+    params = make_params((100.0, 5.0, 0.5), n=4)
+    table = _bid_prob_table(params)
+    script = ScriptedBinomials(table, [([4], [3]), ([3], [0]), ([3], [3]), ([3], [2])])
+    block = _play_block(params, GameMode.NO_REENTRY, table, script, 1, 3)
+    assert not script.rounds
+    assert block.truncated.tolist() == [True]
+    assert block.winner.tolist() == [-1]
+    assert block.effective_length.tolist() == [3]
+    assert block.raw_length.tolist() == [4]
+    assert block.rounds_to_at_most_two.tolist() == [3]
+    assert block.reached_two_player_state.tolist() == [True]
+    # The two survivors hold a bid per round; nothing is sold, so the
+    # seller keeps only the fees on 0 + 2 + 3 + 3 bids.
+    assert holdings_of(block, 0) == [(0, 1, 0.0), (2, 1, -1.0), (3, 2, -1.5)]
+    assert block.revenue.tolist() == [4.0]
+
+
+def test_count_block_holdings_cover_the_roster():
+    params = attrition_params(50, 100)
+    block = _play_block(
+        params,
+        GameMode.NO_REENTRY,
+        _bid_prob_table(params),
+        replication_stream(5, 0),
+        500,
+        DEFAULT_ROUND_CAP,
+    )
+    assert (np.bincount(block.holder, block.players) == params.n).all()
+    bids = np.bincount(block.holder, block.bid_counts * block.players)
+    assert (block.revenue == params.sale_price + params.bid_fee * bids).all()
+    assert (block.bid_counts <= block.effective_length[block.holder]).all()
+    assert (block.bid_counts[block.winner] == block.effective_length).all()
+    assert (block.raw_length >= block.effective_length).all()
+
+
+def test_no_reentry_memory_does_not_grow_with_the_roster():
+    # Each game keeps only its active count, so a full block at
+    # n = 10**5 stays small.  A (BLOCK_SIZE x n) array of 8-byte values
+    # alone would take 3.3 GB.
+    params = attrition_params(100_000, 10)
+    tracemalloc.start()
+    try:
+        result = run_replications(params, GameMode.NO_REENTRY, BLOCK_SIZE, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.truncated_replications == 0
+    assert peak < 50e6, f"peak {peak / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,17 @@ from .equilibrium import AuctionParams, require_active_count, require_count, win
 
 
 def _transition_rows(params: AuctionParams, ks: range) -> Iterator[np.ndarray]:
-    """Row k of the chain for each k in ks: entry m - 1 holds T[k, m]."""
+    """Row k of the chain for each k in ks: entry m - 1 holds T[k, m].
+
+    Raises ZeroDivisionError when the win ratio rounds to 1: then no
+    player ever bids, and the replay normaliser 1 - q**k is 0.
+    """
     log_lam = math.log(win_probability(params))
+    if log_lam == 0.0:
+        raise ZeroDivisionError(
+            "the win ratio u(bid_fee) / u(value - sale_price) rounds to 1, "
+            "so no player ever bids and no effective round comes"
+        )
     log_fact = np.array([math.lgamma(i + 1.0) for i in range(ks[-1] + 1)])
     for k in ks:
         m = np.arange(1, k + 1)
@@ -57,11 +66,14 @@ def _solve(
     game (k <= 1), and a state whose reward is 0 and that leads only to
     such states solves to 0, which is how a caller makes the states at
     or below its target absorbing.  Holds O(n * prod(shape)) floats.
+    Raises FloatingPointError when an expectation overflows the float
+    range, as it does once leaving some state is less likely than 1e-308.
     """
     x = np.zeros((n + 1, *shape))
     ks = range(2, n + 1)
-    for k, row in zip(ks, _transition_rows(params, ks)):
-        x[k] = (reward(k, row) + row[1 : k - 1] @ x[2:k]) / row[: k - 1].sum()
+    with np.errstate(over="raise"):
+        for k, row in zip(ks, _transition_rows(params, ks)):
+            x[k] = (reward(k, row) + row[1 : k - 1] @ x[2:k]) / row[: k - 1].sum()
     return x
 
 

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .utility import CarlUtility, RiskCoefficient
+from .utility import CarlUtility, RiskCoefficient, UtilityRangeError
 
 
 class ParameterError(ValueError):
@@ -95,10 +95,17 @@ def win_probability(params: AuctionParams) -> float:
     """Chance a bidding player wins the object in any given round.
 
     Equals u(bid_fee) / u(value - sale_price), strictly inside (0, 1);
-    the same ratio for every active player count.
+    the same ratio for every active player count.  Raises
+    UtilityRangeError when the ratio underflows to 0 (a tiny fee against
+    a huge prize), since every formula takes its logarithm.
     """
     u = params.utility
-    return u.evaluate(params.bid_fee) / u.evaluate(params.value - params.sale_price)
+    lam = u.evaluate(params.bid_fee) / u.evaluate(params.value - params.sale_price)
+    if lam == 0.0:
+        raise UtilityRangeError(
+            "the win ratio u(bid_fee) / u(value - sale_price) underflows to 0"
+        )
+    return lam
 
 
 def _bid_probability(log_lam: float, k: int) -> float:

@@ -43,15 +43,31 @@ class RevenueBreakdown:
     expected_length: float
 
 
+def _busy_probability(p: float, k: int) -> float:
+    """1 - (1-p)**k, the chance that at least one of k players bids.
+
+    Raises ZeroDivisionError when p is too small for 1 - p to differ
+    from 1 in floating point (the win ratio is within an ulp or so of
+    1), since every per-round statistic divides by this chance.
+    """
+    busy = 1.0 - (1.0 - p) ** k
+    if busy == 0.0:
+        raise ZeroDivisionError(
+            f"the bid probability {p:.3g} leaves 1 - p equal to 1 in floating point, "
+            f"so the chance that any of {k} players bids rounds to 0"
+        )
+    return busy
+
+
 def hazard_rate(params: AuctionParams, k: int) -> float:
     """Chance an effective round ends the game (exactly one bid).
 
     k * p * (1-p)**(k-1) / (1 - (1-p)**k), the probability of a single
-    bidder conditional on not all k players passing.
+    bidder conditional on not all k players passing.  Raises
+    ZeroDivisionError where the denominator rounds to 0.
     """
     p = bid_probability(params, k)
-    stay_out = 1.0 - p
-    return k * p * stay_out ** (k - 1) / (1.0 - stay_out**k)
+    return k * p * (1.0 - p) ** (k - 1) / _busy_probability(p, k)
 
 
 def expected_entrants(params: AuctionParams, k: int) -> float:
@@ -59,9 +75,10 @@ def expected_entrants(params: AuctionParams, k: int) -> float:
 
     k * p / (1 - (1-p)**k); always above k * p because conditioning on
     at least one bid removes the zero-bid outcome, and never above k.
+    Raises ZeroDivisionError where the denominator rounds to 0.
     """
     p = bid_probability(params, k)
-    return k * p / (1.0 - (1.0 - p) ** k)
+    return k * p / _busy_probability(p, k)
 
 
 def revenue_series(

@@ -21,7 +21,7 @@ class RiskCoefficientError(ValueError):
 
 
 class UtilityRangeError(OverflowError):
-    """|rho * x| exceeds the representable range of the exponential."""
+    """|rho * x| exceeds the range of the exponential, or u(c)/u(v - s) underflows."""
 
 
 @dataclass(frozen=True)

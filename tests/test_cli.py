@@ -1,16 +1,21 @@
 """Command-line surface: tables, formats, exit codes, config merging."""
 
+import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+from datetime import timedelta
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import paytobid.cli as cli
-from paytobid import SimulationResult, bid_probability, closed_form_revenue
+from paytobid import AuctionParams, SimulationResult, bid_probability, closed_form_revenue
 from paytobid.cli import main
 
 from helpers import make_params
@@ -89,6 +94,45 @@ def test_revenue_series_beyond_its_budget_exits_3(capsys, n):
     assert code == 3
     assert out == ""
     assert "fee series" in err
+
+
+UNDERFLOW = "win ratio u(bid_fee) / u(value - sale_price) underflows to 0"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # u(v - s) = e**700 / 1 against u(c) = 1e-300.
+        (["equilibrium", "--n", "3", "--value", "700", "--bid-fee", "1e-300", "--rho=-1"], UNDERFLOW),
+        (["equilibrium", "--n", "3", "--value", "1e308", "--bid-fee", "1e-300"], UNDERFLOW),
+        (["revenue", "--n", "3", "--value", "1e308", "--bid-fee", "1e-300"], UNDERFLOW),
+        (["attrition", "--n", "3", "--value", "1e308", "--bid-fee", "1e-300"], UNDERFLOW),
+        # lambda is one ulp below 1, so 1 - p(5) rounds to 1.
+        (
+            ["revenue", "--n", "5", "--value", "1", "--bid-fee", "0.9999999999999999"],
+            "chance that any of 5 players bids rounds to 0",
+        ),
+        # u(c) and u(v - s) round to the same float, so lambda is 1.
+        (
+            [
+                "attrition", "--n", "3", "--value", "0.002646798246996781",
+                "--bid-fee", "0.0026467982469967804", "--rho=-0.07978924461484152",
+            ],
+            "rounds to 1",
+        ),
+        # Leaving two players takes a chance of 2e-309, so the expected
+        # rounds pass the float range.
+        (
+            ["attrition", "--n", "10", "--value", "1", "--bid-fee", "1e-309"],
+            "overflow",
+        ),
+    ],
+)
+def test_win_ratio_at_the_float_edges_exits_3(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert message in err
 
 
 def test_revenue_monte_carlo_column(capsys):
@@ -306,6 +350,51 @@ def test_config_file_json_document(capsys, tmp_path):
     assert {r["bid_fee"] for r in rows} == {1.0, 2.0}
 
 
+# A non-default value for every setting, and a command whose output shows it.
+SETTING_CASES = {
+    "n": ("equilibrium", 4),
+    "value": ("equilibrium", 20.0),
+    "sale_price": ("revenue", 1.5),
+    "bid_fee": ("equilibrium", 2.0),
+    "rho": ("revenue", -0.05),
+    "mode": ("simulate", "no-reentry"),
+    "replications": ("simulate", 30),
+    "seed": ("simulate", 8),
+    "round_cap": ("simulate", 2),
+    "tol": ("revenue", 1e-4),
+    "format": ("equilibrium", "csv"),
+    "initial_wealth": ("simulate", 0.75),
+}
+
+
+def test_setting_cases_cover_every_setting():
+    assert set(SETTING_CASES) == set(cli.SETTINGS)
+
+
+@pytest.mark.parametrize("encoding", ["lines", "json"])
+@pytest.mark.parametrize("key", list(SETTING_CASES))
+def test_config_file_and_flags_agree(capsys, tmp_path, key, encoding):
+    command, value = SETTING_CASES[key]
+    values = {"n": 3, "value": 10.0, "bid_fee": 1.0, key: value}
+    if command == "simulate":
+        values.setdefault("replications", 20)
+
+    def flags(skip=None):
+        return [f"--{k.replace('_', '-')}={v}" for k, v in values.items() if k != skip]
+
+    config = tmp_path / "run.cfg"
+    if encoding == "json":
+        config.write_text(json.dumps(values))
+    else:
+        config.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    code_flags, out_flags, _ = run_cli(capsys, [command, *flags()])
+    code_file, out_file, _ = run_cli(capsys, [command, "--config", str(config)])
+    _, out_without, _ = run_cli(capsys, [command, *flags(skip=key)])
+    assert code_flags == code_file == 0
+    assert out_file == out_flags
+    assert out_flags != out_without  # the case really exercises the setting
+
+
 def test_unknown_config_key_exits_2(capsys, tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("frobnicate = 3\n")
@@ -340,3 +429,53 @@ def test_closed_stdout_ends_quietly():
     proc.stderr.close()
     assert proc.wait() == 0
     assert err == b""
+
+
+# ---------------------------------------------------------------------------
+# the valid domain: n >= 2, 0 < c < v - s, rho <= 0
+# ---------------------------------------------------------------------------
+
+def log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+@st.composite
+def domain_points(draw):
+    """Flags of a valid point: log-uniform magnitudes, c near 0 or near v - s.
+
+    rho is drawn through rho * (v - s), the curvature of the utility over
+    the prize, so every scale of the prize meets every degree of risk love.
+    """
+    n = round(draw(log_uniform(math.log10(2), 3)))
+    sale_price = draw(st.one_of(st.just(0.0), log_uniform(-300, 300)))
+    value = sale_price + draw(log_uniform(-300, 300))
+    room = value - sale_price
+    assume(math.isfinite(value) and room > 0.0)
+    fee = draw(
+        st.one_of(
+            log_uniform(-330, 0).map(lambda share: room * share),
+            log_uniform(-17, 0).map(lambda gap: room * (1.0 - gap)),
+            st.integers(1, 4).map(lambda ulps: room - ulps * math.ulp(room)),
+        )
+    )
+    rho = draw(st.one_of(st.just(0.0), log_uniform(-8, 3).map(lambda t: -t / room)))
+    assume(0.0 < fee < room)
+    AuctionParams(n=n, value=value, sale_price=sale_price, bid_fee=fee, rho=rho)
+    return [f"--n={n}", f"--value={value!r}", f"--sale-price={sale_price!r}",
+            f"--bid-fee={fee!r}", f"--rho={rho!r}"]
+
+
+# simulate is left out: near lambda = 1 every raw round is a replay, and
+# no estimate bounds a Monte Carlo run before it starts.
+@pytest.mark.parametrize("command", ["equilibrium", "revenue", "attrition"])
+def test_valid_domain_exits_cleanly(command):
+    @settings(max_examples=100, deadline=timedelta(seconds=5))
+    @given(domain_points())
+    def check(flags):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, *flags])
+        assert code in (0, 2, 3), err.getvalue()
+        assert code == 0 or out.getvalue() == ""
+
+    check()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import math
 import tracemalloc
 
 import numpy as np
@@ -541,3 +542,37 @@ def test_raw_length_at_least_effective_length(mc):
     params = attrition_params(3, 10)
     result = mc(params, GameMode.NO_REENTRY, MC_COUNT, attrition_seed(3, 10))
     assert result.mean_raw_length >= result.mean_effective_length
+
+
+@pytest.mark.parametrize("mode", list(GameMode))
+def test_replays_add_the_exact_raw_rounds(mode):
+    # At (n, v, s, c) = (4, 2, 0, 1) the win ratio is 1/2, so with k
+    # players active an all-pass round comes with chance q**k, where
+    # q = 2**(-1 / (k - 1)), and is replayed.
+    n, lam = 4, 0.5
+    params = AuctionParams(n=n, value=2.0, sale_price=0.0, bid_fee=1.0)
+
+    def busy(k):  # chance that a raw round is effective
+        return 1.0 - lam ** (k / (k - 1))
+
+    def moves(k):  # bidder count m of an effective round -> its chance
+        q = lam ** (1.0 / (k - 1))
+        return {m: math.comb(k, m) * (1 - q) ** m * q ** (k - m) / busy(k) for m in range(1, k + 1)}
+
+    if mode is GameMode.WITH_REENTRY:
+        exact_effective = 1.0 / moves(n)[1]
+        exact_raw = exact_effective / busy(n)
+    else:
+        # Expected rounds still to come with k active, ascending from
+        # the ended game; the self-loop m = k moves to the left side.
+        effective, raw = {1: 0.0}, {1: 0.0}
+        for k in range(2, n + 1):
+            t = moves(k)
+            leave = 1.0 - t[k]
+            effective[k] = (1.0 + sum(t[m] * effective[m] for m in range(1, k))) / leave
+            raw[k] = (1.0 / busy(k) + sum(t[m] * raw[m] for m in range(1, k))) / leave
+        exact_effective, exact_raw = effective[n], raw[n]
+
+    result = run_replications(params, mode, 20_000, 2024)
+    assert abs(result.mean_effective_length - exact_effective) <= 3.0 * result.se_effective_length
+    assert abs(result.mean_raw_length - exact_raw) <= 3.0 * result.se_raw_length

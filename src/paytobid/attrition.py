@@ -31,17 +31,8 @@ from .equilibrium import AuctionParams, require_active_count, require_count, win
 
 
 def _transition_rows(params: AuctionParams, ks: range) -> Iterator[np.ndarray]:
-    """Row k of the chain for each k in ks: entry m - 1 holds T[k, m].
-
-    Raises ZeroDivisionError when the win ratio rounds to 1: then no
-    player ever bids, and the replay normaliser 1 - q**k is 0.
-    """
+    """Row k of the chain for each k in ks: entry m - 1 holds T[k, m]."""
     log_lam = math.log(win_probability(params))
-    if log_lam == 0.0:
-        raise ZeroDivisionError(
-            "the win ratio u(bid_fee) / u(value - sale_price) rounds to 1, "
-            "so no player ever bids and no effective round comes"
-        )
     log_fact = np.array([math.lgamma(i + 1.0) for i in range(ks[-1] + 1)])
     for k in ks:
         m = np.arange(1, k + 1)

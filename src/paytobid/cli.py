@@ -147,7 +147,12 @@ def _load_config_file(path: str) -> Dict[str, object]:
     for key, raw in pairs:
         key = key.replace("-", "_")
         if key == "sweep":
-            values["sweep"] += [raw] if isinstance(raw, str) else list(raw)
+            specs = [raw] if isinstance(raw, str) else raw
+            if not (isinstance(specs, list) and all(isinstance(spec, str) for spec in specs)):
+                raise ConfigError(
+                    f"config key 'sweep' must be a string or a list of strings, got {raw!r}"
+                )
+            values["sweep"] += specs
         else:
             values[key] = _coerce(key, raw)
     return values

@@ -97,13 +97,20 @@ def win_probability(params: AuctionParams) -> float:
     Equals u(bid_fee) / u(value - sale_price), strictly inside (0, 1);
     the same ratio for every active player count.  Raises
     UtilityRangeError when the ratio underflows to 0 (a tiny fee against
-    a huge prize), since every formula takes its logarithm.
+    a huge prize), since every formula takes its logarithm, or rounds to
+    1 (u(bid_fee) and u(value - sale_price) are the same float), since
+    then no player ever bids.
     """
     u = params.utility
     lam = u.evaluate(params.bid_fee) / u.evaluate(params.value - params.sale_price)
     if lam == 0.0:
         raise UtilityRangeError(
             "the win ratio u(bid_fee) / u(value - sale_price) underflows to 0"
+        )
+    if lam >= 1.0:
+        raise UtilityRangeError(
+            "the win ratio u(bid_fee) / u(value - sale_price) rounds to 1, "
+            "so no player ever bids"
         )
     return lam
 

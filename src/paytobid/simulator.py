@@ -10,28 +10,36 @@ without it, the active set of the next round is the set of bidders.
 
 Two engines play these rules.  ``play_one_game`` is the scalar
 reference: one game, one Python loop, a full per-round log on request.
-``run_replications`` plays games in lockstep blocks of BLOCK_SIZE
-replications with numpy, one raw round of every running game per step.
+``run_replications`` plays games with numpy.  Replications are cut into
+consecutive blocks of BLOCK_SIZE, and block b owns the counter-based
+random stream derived from (master_seed, b).  Consecutive blocks are
+played together as a group in one lockstep loop: each step is one raw
+round of every running game of the group, and it asks each block's
+stream once, for that block's running games in slot order.  Every block
+therefore draws exactly what it would draw played alone, while the
+loop runs as many steps as the group's longest game instead of the sum
+of its blocks' longest games.  A group holds at most _GROUP_ENTRIES
+(player, game) entries, or one block where a block holds more, which
+bounds memory and changes no result.
+
 With re-entry a step draws one row of n uniforms per game, as the
-scalar engine does.  Without re-entry the equilibrium is Markov in the
-active count k (Kemeny & Snell, *Finite Markov Chains*, 1960), so a
-game keeps only k and a step draws one binomial(k, p(k)) bidder count;
-players are then known only as holdings, groups who left in the same
-round with the same bids, and a block holds O(games + rounds) values
-whatever n is.  Replications are cut into consecutive blocks, and
-block b owns the counter-based random stream derived from
-(master_seed, b).  Workers receive whole blocks and the reduction runs
-in replication order, so results are bit-reproducible and independent
-of the worker count.
+scalar engine does, and the running games' bids are kept one row per
+player.  Without re-entry the equilibrium is Markov in the active count
+k (Kemeny & Snell, *Finite Markov Chains*, 1960), so a game keeps only
+k and a step draws one binomial(k, p(k)) bidder count; players are
+then known only as holdings, groups who left in the same round with
+the same bids, and a group holds O(games + rounds) values whatever n
+is.  Workers receive whole blocks and the reduction runs in replication
+order, so results are bit-reproducible and independent of the worker
+count and of the grouping.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional
+from typing import Iterator, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -229,12 +237,15 @@ def play_one_game(
     )
 
 
-# Replications per lockstep block; block b of a run draws from stream b.
+# Replications per block; block b of a run draws from stream b.
 BLOCK_SIZE = 4096
+# Most (player, game) entries one group of blocks may hold.  It bounds
+# memory only: no result depends on how blocks are grouped.
+_GROUP_ENTRIES = BLOCK_SIZE * 64
 
 
 class BlockRecord(NamedTuple):
-    """Per-game outcome arrays of one block, and the holdings of its players.
+    """Per-game outcome arrays of a group of blocks, and the holdings of its players.
 
     The per-game fields, one entry per replication, mirror GameRecord
     without the round log.  rounds_to_at_most_two is 0 while a game has
@@ -242,10 +253,10 @@ class BlockRecord(NamedTuple):
     is tracked only without re-entry and with more than two players.
 
     A holding is a group of players of one game who end it alike:
-    ``players`` players of game ``holder`` each made ``bid_counts`` bids
-    and end with ``net_money``.  With re-entry the holding arrays are
-    (size x n) matrices, one player per entry in roster order, and
-    winner is the winning player's index.  Without re-entry players
+    ``players`` players of game ``holder`` each made ``bid_counts`` bids,
+    and ``won`` marks the winner's holding.  With re-entry the holding
+    arrays are (size x n) matrices, one player per entry in roster order,
+    and winner is the winning player's index.  Without re-entry players
     carry no labels: the arrays are flat, with one holding per group of
     players who stopped in the same round and one for the winner (or for
     the survivors at the round cap), and winner is the flat index of the
@@ -262,7 +273,7 @@ class BlockRecord(NamedTuple):
     holder: np.ndarray
     players: np.ndarray
     bid_counts: np.ndarray
-    net_money: np.ndarray
+    won: np.ndarray
 
 
 def _bid_prob_table(params: AuctionParams) -> np.ndarray:
@@ -277,78 +288,115 @@ def _play_block(
     params: AuctionParams,
     mode: GameMode,
     bid_prob: np.ndarray,
-    rng: np.random.Generator,
-    size: int,
+    rngs: Sequence[np.random.Generator],
+    sizes: Sequence[int],
     round_cap: int,
 ) -> BlockRecord:
-    """Play ``size`` games in lockstep under the rules of play_one_game.
+    """Play a group of blocks in lockstep under the rules of play_one_game.
 
-    Each step is one raw round of every running game.  A round with no
+    Block i holds ``sizes[i]`` games and draws from ``rngs[i]``; its
+    games take the next ``sizes[i]`` slots of the record.  Each step is
+    one raw round of every running game of the group.  A round with no
     bid is replayed, a round with one bid ends its game, and a game
     stops flagged as truncated after ``round_cap`` effective rounds.
-    With re-entry a step draws one row of n uniforms per running game
-    and compares it against p(n), as play_one_game does.  Without
-    re-entry the equilibrium is Markov in the active count, so a game
-    keeps only its count k and a step draws one binomial(k, p(k))
-    bidder count per running game.
+    A step asks each block's stream once, for that block's running games
+    in slot order, so every block draws what it would draw played alone.
+    With re-entry that is one row of n uniforms per game, compared
+    against p(n) as play_one_game does.  Without re-entry the
+    equilibrium is Markov in the active count, so a game keeps only its
+    count k and draws one binomial(k, p(k)) bidder count.
     """
     play = _play_count_block if mode is GameMode.NO_REENTRY else _play_roster_block
-    return play(params, bid_prob, rng, size, round_cap)
+    return play(params, bid_prob, rngs, sizes, round_cap)
 
 
-def _settle(params: AuctionParams, winner, total_bids, bid_counts, won) -> tuple:
-    """Seller revenue per game and net money per holding.
+class _Running:
+    """The running games of a lockstep group, in slot order, by block."""
 
-    Every bid pays the fee.  A game with a winner adds the sale price to
-    the revenue, and the winners' holdings, indexed by ``won``, gain
-    value - sale_price.
-    """
-    fee = params.bid_fee
+    def __init__(self, rngs: Sequence[np.random.Generator], sizes: Sequence[int]):
+        self.rngs = rngs
+        self.slots = np.arange(sum(sizes))
+        self.per_block = np.array(sizes, dtype=np.int64)
+        self.block_of = np.repeat(np.arange(len(sizes)), sizes)
+
+    def spans(self) -> Iterator[tuple]:
+        """(stream, lo, hi) of each block with running games; hi - lo of them."""
+        lo = 0
+        for rng, count in zip(self.rngs, self.per_block.tolist()):
+            if count:
+                yield rng, lo, lo + count
+                lo += count
+
+    def drop(self, keep: np.ndarray) -> None:
+        """Keep the running games where ``keep`` is True."""
+        ended = self.slots[~keep]
+        self.per_block -= np.bincount(self.block_of[ended], minlength=self.per_block.size)
+        self.slots = self.slots[keep]
+
+
+def _revenue(params: AuctionParams, winner: np.ndarray, total_bids: np.ndarray) -> np.ndarray:
+    """Seller revenue per game: the fee on every bid, plus the sale price if sold."""
+    revenue = params.bid_fee * total_bids.astype(np.float64)
     sold = winner >= 0
-    revenue = fee * total_bids.astype(np.float64)
     revenue[sold] = params.sale_price + revenue[sold]
-    net = -fee * bid_counts.astype(np.float64)
+    return revenue
+
+
+def _net_money(params: AuctionParams, bid_counts: np.ndarray, won: np.ndarray) -> np.ndarray:
+    """Money change of a player per holding: -fee per bid, value - sale_price if won."""
+    net = -params.bid_fee * bid_counts.astype(np.float64)
     net[won] += params.value - params.sale_price
-    return revenue, net
+    return net
 
 
-def _play_roster_block(params, bid_prob, rng, size, round_cap) -> BlockRecord:
-    """_play_block with re-entry: every player draws in every raw round."""
+def _play_roster_block(params, bid_prob, rngs, sizes, round_cap) -> BlockRecord:
+    """_play_block with re-entry: every player draws in every raw round.
+
+    The bids of the running games are kept as an (n x running) array, so
+    counting bidders sums whole rows and a replay, an all-False column,
+    adds nothing.  A game's counts are written out when it ends.
+    """
     n = params.n
-    games = np.arange(size)  # replication slots still playing
-    bid_counts = np.zeros((size, n), dtype=np.int64)
-    effective = np.zeros(size, dtype=np.int64)
-    raw = np.zeros(size, dtype=np.int64)
+    size = sum(sizes)
+    run = _Running(rngs, sizes)
+    uniforms = np.empty((size, n))
+    counts = np.zeros((n, size), dtype=np.int64)  # bids so far, follows run.slots
+    played = np.zeros(size, dtype=np.int64)  # effective rounds so far, follows run.slots
+    bid_counts = np.empty((size, n), dtype=np.int64)
+    effective = np.empty(size, dtype=np.int64)
+    raw = np.empty(size, dtype=np.int64)
     winner = np.full(size, -1, dtype=np.int64)
     truncated = np.zeros(size, dtype=bool)
     step = 0
-    while games.size:
+    while run.slots.size:
         step += 1
-        bids = rng.random((games.size, n)) < bid_prob[n]
-        n_bid = bids.sum(axis=1)
-        played = np.flatnonzero(n_bid)  # rows that made an effective round
-        g, b = games[played], bids[played]
-        effective[g] += 1
-        bid_counts[g] += b
-        ended = n_bid[played] == 1
-        winner[g[ended]] = b[ended].argmax(axis=1)
-        capped = ~ended & (effective[g] >= round_cap)
-        truncated[g[capped]] = True
-        done = played[ended | capped]
-        if done.size:
-            raw[games[done]] = step  # every step was a raw round of each game
-            keep = np.ones(games.size, dtype=bool)
-            keep[done] = False
-            games = games[keep]
+        for rng, lo, hi in run.spans():
+            rng.random(out=uniforms[lo:hi])
+        bids = (uniforms[: run.slots.size] < bid_prob[n]).T.copy()
+        n_bid = bids.sum(axis=0)
+        counts += bids
+        played += n_bid > 0
+        ended = n_bid == 1
+        done = ended | (played >= round_cap)
+        d = np.flatnonzero(done)
+        if d.size:
+            g, won = run.slots[d], ended[d]
+            bid_counts[g] = counts[:, d].T
+            effective[g] = played[d]
+            raw[g] = step  # every step was a raw round of each game
+            winner[g[won]] = bids[:, d[won]].argmax(axis=0)
+            truncated[g] = ~won
+            keep = ~done
+            counts, played = np.compress(keep, counts, axis=1), played[keep]
+            run.drop(keep)
 
     sold = np.flatnonzero(winner >= 0)
-    revenue, net = _settle(
-        params, winner, bid_counts.sum(axis=1), bid_counts, (sold, winner[sold])
-    )
+    won = np.zeros((size, n), dtype=bool)
+    won[sold, winner[sold]] = True
     untracked = np.zeros(size, dtype=np.int64)
     return BlockRecord(
         winner=winner,
-        revenue=revenue,
+        revenue=_revenue(params, winner, bid_counts.sum(axis=1)),
         effective_length=effective,
         raw_length=raw,
         truncated=truncated,
@@ -357,11 +405,11 @@ def _play_roster_block(params, bid_prob, rng, size, round_cap) -> BlockRecord:
         holder=np.broadcast_to(np.arange(size)[:, None], (size, n)),
         players=np.broadcast_to(np.int64(1), (size, n)),
         bid_counts=bid_counts,
-        net_money=net,
+        won=won,
     )
 
 
-def _play_count_block(params, bid_prob, rng, size, round_cap) -> BlockRecord:
+def _play_count_block(params, bid_prob, rngs, sizes, round_cap) -> BlockRecord:
     """_play_block without re-entry: one bidder count per game and raw round.
 
     With k players active, m = 0 bidders is a replay.  Any m >= 1 is an
@@ -369,13 +417,14 @@ def _play_count_block(params, bid_prob, rng, size, round_cap) -> BlockRecord:
     good holding one bid fewer than the rounds played, since they bid
     in every round before.  m = 1 ends the game with the winner holding
     one bid per round; at the round cap the m survivors hold as much and
-    nothing is sold.  A block holds O(size + effective rounds) values
+    nothing is sold.  A group holds O(size + effective rounds) values
     whatever the player count.
     """
     n = params.n
+    size = sum(sizes)
     track_two = n > 2
-    games = np.arange(size)  # replication slots still playing
-    active = np.full(size, n, dtype=np.int64)  # active count, follows ``games``
+    run = _Running(rngs, sizes)
+    active = np.full(size, n, dtype=np.int64)  # active count, follows run.slots
     total_bids = np.zeros(size, dtype=np.int64)
     effective = np.zeros(size, dtype=np.int64)
     raw = np.zeros(size, dtype=np.int64)
@@ -384,11 +433,14 @@ def _play_count_block(params, bid_prob, rng, size, round_cap) -> BlockRecord:
     reached_two = np.zeros(size, dtype=bool)
     held = []  # (holder, players, bid_counts, won) of the holdings closed per step
     step = 0
-    while games.size:
+    while run.slots.size:
         step += 1
-        bidders = rng.binomial(active, bid_prob[active])
+        p = bid_prob[active]
+        bidders = np.concatenate(
+            [rng.binomial(active[lo:hi], p[lo:hi]) for rng, lo, hi in run.spans()]
+        )
         played = np.flatnonzero(bidders)  # games that made an effective round
-        g, k, m = games[played], active[played], bidders[played]
+        g, k, m = run.slots[played], active[played], bidders[played]
         effective[g] += 1
         rounds = effective[g]
         total_bids[g] += m
@@ -406,17 +458,17 @@ def _play_count_block(params, bid_prob, rng, size, round_cap) -> BlockRecord:
         active[played] = m
         if done.any():
             raw[g[done]] = step  # every step was a raw round of each game
-            keep = np.ones(games.size, dtype=bool)
+            keep = np.ones(run.slots.size, dtype=bool)
             keep[played[done]] = False
-            games, active = games[keep], active[keep]
+            active = active[keep]
+            run.drop(keep)
 
     holder, players, bid_counts, won = (np.concatenate(part) for part in zip(*held))
     winner = np.full(size, -1, dtype=np.int64)
     winner[holder[won]] = np.flatnonzero(won)
-    revenue, net = _settle(params, winner, total_bids, bid_counts, won)
     return BlockRecord(
         winner=winner,
-        revenue=revenue,
+        revenue=_revenue(params, winner, total_bids),
         effective_length=effective,
         raw_length=raw,
         truncated=truncated,
@@ -425,8 +477,25 @@ def _play_count_block(params, bid_prob, rng, size, round_cap) -> BlockRecord:
         holder=holder,
         players=players,
         bid_counts=bid_counts,
-        net_money=net,
+        won=won,
     )
+
+
+def _holding_utility(
+    params: AuctionParams, initial_wealth: float, bid_counts: np.ndarray, won: np.ndarray
+) -> np.ndarray:
+    """u(initial_wealth + net money) of one player of each holding.
+
+    Net money depends only on the key 2 * bids + won, so the kernel runs
+    once per key present, which keeps its range checks, and each holding
+    looks its value up by key.
+    """
+    key = 2 * bid_counts + won
+    present = np.flatnonzero(np.bincount(key.ravel()))
+    amounts = initial_wealth + _net_money(params, present // 2, present % 2 == 1)
+    table = np.empty(present[-1] + 1)
+    table[present] = [params.utility.evaluate(float(x)) for x in amounts]
+    return table[key]
 
 
 # Per-replication summary columns produced by _simulate_blocks.
@@ -443,24 +512,26 @@ def _simulate_blocks(
     first_block: int,
     stop_block: int,
 ) -> np.ndarray:
-    """Summary rows of blocks [first_block, stop_block) of a run of ``count``."""
+    """Summary rows of blocks [first_block, stop_block) of a run of ``count``.
+
+    Consecutive blocks are played in groups of at most _GROUP_ENTRIES
+    (player, game) entries, or one block where a block holds more.
+    """
     bid_prob = _bid_prob_table(params)
-    u = params.utility
     track_two = mode is GameMode.NO_REENTRY and params.n > 2
+    per_group = max(1, _GROUP_ENTRIES // (BLOCK_SIZE * params.n))
     parts = []
-    for block in range(first_block, stop_block):
-        size = min(BLOCK_SIZE, count - block * BLOCK_SIZE)
-        game = _play_block(
-            params, mode, bid_prob, _philox_stream(master_seed, block), size, round_cap
-        )
-        # One kernel call per distinct amount keeps its range checks.
-        amounts, where = np.unique(initial_wealth + game.net_money, return_inverse=True)
-        utility = np.array([u.evaluate(float(x)) for x in amounts])
-        held = utility[where.reshape(game.net_money.shape)] * game.players
+    for first in range(first_block, stop_block, per_group):
+        blocks = range(first, min(first + per_group, stop_block))
+        sizes = [min(BLOCK_SIZE, count - b * BLOCK_SIZE) for b in blocks]
+        size = sum(sizes)
+        rngs = [_philox_stream(master_seed, b) for b in blocks]
+        game = _play_block(params, mode, bid_prob, rngs, sizes, round_cap)
+        held = _holding_utility(params, initial_wealth, game.bid_counts, game.won)
         if held.ndim == 2:  # re-entry: a row per game, summed along the roster
             per_game = held.sum(axis=1)
         else:
-            per_game = np.bincount(game.holder, held, minlength=size)
+            per_game = np.bincount(game.holder, held * game.players, minlength=size)
         untracked = np.full(size, np.nan)
         parts.append(
             np.column_stack(
@@ -497,11 +568,14 @@ def run_replications(
     """Run independent replications and aggregate them.
 
     The aggregate is a pure function of (params, mode, count,
-    master_seed, round_cap, initial_wealth): replications are cut into
-    blocks of BLOCK_SIZE, block b always uses the stream derived from
-    (master_seed, b), workers receive whole blocks and the reduction
-    runs in replication order, so the result is byte-identical for any
-    worker count.
+    master_seed, round_cap, initial_wealth).  Replications are cut into
+    blocks of BLOCK_SIZE, and block b always uses the stream derived
+    from (master_seed, b).  Each worker plays its share of whole blocks
+    in groups of consecutive blocks, one lockstep loop per group, in
+    which every block draws from its own stream only for its own running
+    games.  A game's draws are thus fixed by its block alone, and the
+    reduction runs in replication order, so the result is byte-identical
+    for any worker count and any grouping.
     """
     if count < 1:
         raise ParameterError(f"replication count must be >= 1, got {count!r}")
@@ -522,6 +596,8 @@ def run_replications(
             (params, mode, master_seed, round_cap, initial_wealth, count, lo, hi)
             for lo, hi in zip(bounds, bounds[1:])
         ]
+        from concurrent.futures import ProcessPoolExecutor  # costs ~25 ms of import
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(_simulate_blocks, *zip(*args)))
         summary = np.vstack(parts)

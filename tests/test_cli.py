@@ -126,6 +126,23 @@ UNDERFLOW = "win ratio u(bid_fee) / u(value - sale_price) underflows to 0"
             ["attrition", "--n", "10", "--value", "1", "--bid-fee", "1e-309"],
             "overflow",
         ),
+        # At the lambda = 1 point above p(k) would be -0, with no chain to fail.
+        (
+            [
+                "equilibrium", "--n", "3", "--value", "0.002646798246996781",
+                "--bid-fee", "0.0026467982469967804", "--rho=-0.07978924461484152",
+            ],
+            "rounds to 1",
+        ),
+        # Nobody would ever bid, so every round would be replayed.
+        (
+            [
+                "simulate", "--n", "3", "--value", "0.002646798246996781",
+                "--bid-fee", "0.0026467982469967804", "--rho=-0.07978924461484152",
+                "--replications", "10",
+            ],
+            "rounds to 1",
+        ),
     ],
 )
 def test_win_ratio_at_the_float_edges_exits_3(capsys, argv, message):
@@ -350,6 +367,16 @@ def test_config_file_json_document(capsys, tmp_path):
     assert {r["bid_fee"] for r in rows} == {1.0, 2.0}
 
 
+@pytest.mark.parametrize("sweep", [5, [5], None, {"n": "2"}])
+def test_json_sweep_of_the_wrong_type_exits_2(capsys, tmp_path, sweep):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"n": 3, "value": 10, "bid_fee": 1, "sweep": sweep}))
+    code, out, err = run_cli(capsys, ["equilibrium", "--config", str(config)])
+    assert code == 2
+    assert out == ""
+    assert "sweep" in err
+
+
 # A non-default value for every setting, and a command whose output shows it.
 SETTING_CASES = {
     "n": ("equilibrium", 4),
@@ -411,6 +438,21 @@ def test_console_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0].startswith("status,reason,n,")
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # Only a run with more than one worker needs the pool; its import
+    # costs every other command time at startup.
+    proc = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, paytobid.cli; "
+            "assert 'concurrent.futures.process' not in sys.modules",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_closed_stdout_ends_quietly():

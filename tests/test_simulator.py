@@ -22,7 +22,8 @@ from paytobid import (
     replication_stream,
     run_replications,
 )
-from paytobid.simulator import BLOCK_SIZE, _bid_prob_table, _play_block
+from paytobid import simulator
+from paytobid.simulator import BLOCK_SIZE, _bid_prob_table, _net_money, _play_block
 
 from helpers import MC_COUNT, attrition_params, attrition_seed, make_params, revenue_seed
 
@@ -66,14 +67,14 @@ class ScriptedBinomials:
         return np.asarray(bidders, dtype=np.int64)
 
 
-def holdings_of(block, game):
+def holdings_of(params, block, game):
     """Sorted (bids, players, net money) of one game of a no-re-entry block."""
     mine = block.holder == game
     return sorted(
         zip(
             block.bid_counts[mine].tolist(),
             block.players[mine].tolist(),
-            block.net_money[mine].tolist(),
+            _net_money(params, block.bid_counts[mine], block.won[mine]).tolist(),
         )
     )
 
@@ -364,8 +365,8 @@ def test_batched_engine_matches_scalar_distributions(mode):
         params,
         mode,
         _bid_prob_table(params),
-        np.random.Generator(np.random.Philox(key=4343)),
-        DIFFERENTIAL_GAMES,
+        [np.random.Generator(np.random.Philox(key=4343))],
+        [DIFFERENTIAL_GAMES],
         DEFAULT_ROUND_CAP,
     )
     assert not block.truncated.any()
@@ -411,15 +412,163 @@ def test_single_game_block_replays_the_scalar_game(round_cap):
             params, GameMode.WITH_REENTRY, policy, replication_stream(8, index), round_cap
         )
         block = _play_block(
-            params, GameMode.WITH_REENTRY, table, replication_stream(8, index), 1, round_cap
+            params, GameMode.WITH_REENTRY, table, [replication_stream(8, index)], [1], round_cap
         )
         assert block.winner[0] == (-1 if game.winner is None else game.winner)
+        assert block.won[0].tolist() == [i == game.winner for i in range(params.n)]
         assert block.bid_counts[0].tolist() == game.bid_counts.tolist()
-        assert block.net_money[0].tolist() == game.net_money.tolist()
+        net = _net_money(params, block.bid_counts[0], block.won[0])
+        assert net.tolist() == game.net_money.tolist()
         assert block.revenue[0] == game.revenue
         assert block.effective_length[0] == game.effective_length
         assert block.raw_length[0] == game.raw_length
         assert block.truncated[0] == game.truncated
+
+
+# ---------------------------------------------------------------------------
+# Groups of blocks played in one lockstep loop.
+# ---------------------------------------------------------------------------
+
+class RecordingStream:
+    """A Philox stream that logs (name, what was asked) of every draw."""
+
+    def __init__(self, name, key, log):
+        self.name, self.log = name, log
+        self.generator = np.random.Generator(np.random.Philox(key=key))
+
+    def random(self, *, out):
+        self.log.append((self.name, out.shape))
+        return self.generator.random(out=out)
+
+    def binomial(self, k, p):
+        self.log.append((self.name, tuple(k.tolist())))
+        return self.generator.binomial(k, p)
+
+
+def games_of(params, block, lo, hi):
+    """Per-game outcome of the games in slots [lo, hi), holdings as sorted lists."""
+    fields = (
+        "revenue", "effective_length", "raw_length", "truncated",
+        "rounds_to_at_most_two", "reached_two_player_state",
+    )
+    games = [{name: getattr(block, name)[slot].item() for name in fields} for slot in range(lo, hi)]
+    for game, slot in zip(games, range(lo, hi)):
+        if block.bid_counts.ndim == 2:  # re-entry: one row per game
+            game["winner"] = block.winner[slot].item()
+            game["bids"] = block.bid_counts[slot].tolist()
+            game["net"] = _net_money(params, block.bid_counts[slot], block.won[slot]).tolist()
+        else:
+            game["holdings"] = holdings_of(params, block, slot)
+            won = block.winner[slot]
+            game["winner"] = None if won < 0 else block.bid_counts[won].item()
+    return games
+
+
+@pytest.mark.parametrize("mode", list(GameMode))
+@pytest.mark.parametrize("round_cap", [4, DEFAULT_ROUND_CAP])
+def test_group_draws_each_block_on_its_own_stream(mode, round_cap):
+    params = make_params((10.0, 0.0, 1.0), rho=-0.1, n=4)
+    table = _bid_prob_table(params)
+    sizes = [30, 17]
+    log = []
+    streams = [RecordingStream(b, 900 + b, log) for b in range(2)]
+    group = _play_block(params, mode, table, streams, sizes, round_cap)
+
+    offset = 0
+    for b, size in enumerate(sizes):
+        alone_log = []
+        alone = _play_block(
+            params, mode, table, [RecordingStream(b, 900 + b, alone_log)], [size], round_cap
+        )
+        assert games_of(params, group, offset, offset + size) == games_of(params, alone, 0, size)
+        # Block b's stream sees the same requests, in the same order, as
+        # when the block plays alone.
+        assert [asked for name, asked in log if name == b] == [asked for _, asked in alone_log]
+        offset += size
+
+    # Step t asks block 0 then block 1, each for its games still
+    # running, i.e. those whose raw length is at least t.
+    raw = group.raw_length
+    bounds = np.cumsum([0, *sizes])
+    expected = []
+    for t in range(1, raw.max() + 1):
+        for b in range(2):
+            running = int((raw[bounds[b]:bounds[b + 1]] >= t).sum())
+            if running:
+                expected.append((b, running))
+    if mode is GameMode.WITH_REENTRY:  # asked for a (games x n) array of uniforms
+        assert [(name, games) for name, (games, n) in log] == expected
+        assert all(n == params.n for _, (_, n) in log)
+    else:  # asked for one bidder count per active count
+        assert [(name, len(counts)) for name, counts in log] == expected
+    assert group.truncated.any() == (round_cap == 4)
+
+
+@pytest.mark.parametrize("mode", list(GameMode))
+def test_grouping_does_not_change_the_result(monkeypatch, mode):
+    # Four blocks, the last one partial.  The bound on a group's
+    # (player, game) entries decides only how many blocks share a loop.
+    count = 3 * BLOCK_SIZE + 500
+    params = make_params((10.0, 0.0, 1.0), rho=-0.1, n=3)
+    results = []
+    for entries in (1, 2 * BLOCK_SIZE * params.n, 10**12):
+        monkeypatch.setattr(simulator, "_GROUP_ENTRIES", entries)
+        results.append(run_replications(params, mode, count, 31, initial_wealth=0.5))
+    assert results[0] == results[1] == results[2]
+
+
+# Frozen results of two small runs of the block stream contract: block b
+# of a run draws from Philox(seed).jumped(b).  A change to which numbers
+# a game draws, or in what order they are used, changes these values.
+PINNED_RUNS = {
+    GameMode.WITH_REENTRY: (
+        AuctionParams(n=3, value=10.0, sale_price=0.0, bid_fee=1.0, rho=-0.1),
+        77,
+        {
+            "truncated_replications": 0,
+            "mean_revenue": 15.958333333333334,
+            "se_revenue": 0.17379856470126595,
+            "mean_effective_length": 6.972111111111111,
+            "se_effective_length": 0.06902378176950791,
+            "mean_raw_length": 7.083222222222222,
+            "se_raw_length": 0.07024815623314314,
+            "mean_player_utility": 1.7389503484465936,
+            "se_player_utility": 0.04616159726231114,
+            "two_player_passage_fraction": None,
+            "se_two_player_passage_fraction": None,
+            "mean_rounds_to_two": None,
+            "se_rounds_to_two": None,
+        },
+    ),
+    GameMode.NO_REENTRY: (
+        AuctionParams(n=5, value=10.0, sale_price=0.0, bid_fee=1.0, rho=-0.1),
+        78,
+        {
+            "truncated_replications": 0,
+            "mean_revenue": 16.425,
+            "se_revenue": 0.17646395185814,
+            "mean_effective_length": 8.108222222222222,
+            "se_effective_length": 0.08645928667424958,
+            "mean_raw_length": 8.179444444444444,
+            "se_raw_length": 0.08683751422415899,
+            "mean_player_utility": 1.6194106752030901,
+            "se_player_utility": 0.026306594660839455,
+            "two_player_passage_fraction": 0.6972222222222222,
+            "se_two_player_passage_fraction": 0.004843401623755966,
+            "mean_rounds_to_two": 1.9473333333333334,
+            "se_rounds_to_two": 0.013109502128869995,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", list(GameMode))
+def test_stream_contract_is_pinned(mode):
+    params, seed, frozen = PINNED_RUNS[mode]
+    result = run_replications(params, mode, 9_000, seed, initial_wealth=1.5)
+    assert dataclasses.asdict(result) == {
+        "replications": 9_000, "initial_wealth": 1.5, **frozen
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +589,7 @@ def test_count_block_accounts_for_every_round():
             ([2], [1]),  # game 0 ends
         ],
     )
-    block = _play_block(params, GameMode.NO_REENTRY, table, script, 3, DEFAULT_ROUND_CAP)
+    block = _play_block(params, GameMode.NO_REENTRY, table, [script], [3], DEFAULT_ROUND_CAP)
     assert not script.rounds
     assert block.effective_length.tolist() == [4, 3, 1]
     assert block.raw_length.tolist() == [6, 4, 1]  # 2, 1 and 0 replays
@@ -449,9 +598,9 @@ def test_count_block_accounts_for_every_round():
     assert block.reached_two_player_state.tolist() == [True, True, False]
     # Players who stop after round r hold r - 1 bids; the winner holds
     # one bid per round and gains value - sale_price = 95.
-    assert holdings_of(block, 0) == [(0, 2, 0.0), (1, 1, -0.5), (3, 1, -1.5), (4, 1, 93.0)]
-    assert holdings_of(block, 1) == [(1, 3, -0.5), (2, 1, -1.0), (3, 1, 93.5)]
-    assert holdings_of(block, 2) == [(0, 4, 0.0), (1, 1, 94.5)]
+    assert holdings_of(params, block, 0) == [(0, 2, 0.0), (1, 1, -0.5), (3, 1, -1.5), (4, 1, 93.0)]
+    assert holdings_of(params, block, 1) == [(1, 3, -0.5), (2, 1, -1.0), (3, 1, 93.5)]
+    assert holdings_of(params, block, 2) == [(0, 4, 0.0), (1, 1, 94.5)]
     # Sale price plus the fee on 8, 8 and 1 bids.
     assert block.revenue.tolist() == [9.0, 9.0, 5.5]
     for game, rounds in enumerate([4, 3, 1]):
@@ -464,7 +613,7 @@ def test_count_block_truncates_at_the_round_cap():
     params = make_params((100.0, 5.0, 0.5), n=4)
     table = _bid_prob_table(params)
     script = ScriptedBinomials(table, [([4], [3]), ([3], [0]), ([3], [3]), ([3], [2])])
-    block = _play_block(params, GameMode.NO_REENTRY, table, script, 1, 3)
+    block = _play_block(params, GameMode.NO_REENTRY, table, [script], [1], 3)
     assert not script.rounds
     assert block.truncated.tolist() == [True]
     assert block.winner.tolist() == [-1]
@@ -474,7 +623,7 @@ def test_count_block_truncates_at_the_round_cap():
     assert block.reached_two_player_state.tolist() == [True]
     # The two survivors hold a bid per round; nothing is sold, so the
     # seller keeps only the fees on 0 + 2 + 3 + 3 bids.
-    assert holdings_of(block, 0) == [(0, 1, 0.0), (2, 1, -1.0), (3, 2, -1.5)]
+    assert holdings_of(params, block, 0) == [(0, 1, 0.0), (2, 1, -1.0), (3, 2, -1.5)]
     assert block.revenue.tolist() == [4.0]
 
 
@@ -484,8 +633,8 @@ def test_count_block_holdings_cover_the_roster():
         params,
         GameMode.NO_REENTRY,
         _bid_prob_table(params),
-        replication_stream(5, 0),
-        500,
+        [replication_stream(5, 0)],
+        [500],
         DEFAULT_ROUND_CAP,
     )
     assert (np.bincount(block.holder, block.players) == params.n).all()

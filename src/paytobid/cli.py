@@ -14,7 +14,9 @@ Tables go to stdout as JSON or CSV (17 significant digits either way);
 diagnostics go to stderr.  Exit codes: 0 success, also when the reader
 of stdout closes it early (as `| head` does); 2 configuration or
 invariant violation; 3 numerical failure (a quantity left the range of
-a float, or the fee series would need more terms than its budget).
+a float, the fee series would need more terms than its budget, or a
+Monte Carlo run would be expected to play more raw rounds than its
+budget).
 """
 
 from __future__ import annotations
@@ -30,11 +32,31 @@ import sys
 from dataclasses import asdict
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from .attrition import attrition_profile
-from .equilibrium import AuctionParams, EquilibriumPolicy, ParameterError
+from .equilibrium import (
+    DEFAULT_ROUND_CAP,
+    AuctionParams,
+    EquilibriumPolicy,
+    GameMode,
+    ParameterError,
+)
 from .revenue import DEFAULT_TRUNCATION_TOL, closed_form_revenue, revenue_series
-from .simulator import DEFAULT_ROUND_CAP, GameMode, run_replications
 from .utility import RiskCoefficientError
+
+
+# The attrition chain and the Monte Carlo import numpy, which costs every
+# process about 0.18 s; only a row function that needs one loads it.  The
+# function is looked up when called, so a replacement set on the module
+# (a test double, a tracer) is the one that runs.
+def attrition_profile(*args, **kwargs):
+    from . import attrition
+
+    return attrition.attrition_profile(*args, **kwargs)
+
+
+def run_replications(*args, **kwargs):
+    from . import simulator
+
+    return simulator.run_replications(*args, **kwargs)
 
 
 class ConfigError(ValueError):
@@ -348,6 +370,11 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+# A comma, then the newline and indent that json.dumps(..., indent=2)
+# puts before each item of a row.
+_ITEM_SEP = ",\n      "
+
+
 def render(command: str, columns: List[str], rows: List[Dict[str, object]], fmt: str) -> str:
     if fmt == "csv":
         buf = io.StringIO()
@@ -356,11 +383,18 @@ def render(command: str, columns: List[str], rows: List[Dict[str, object]], fmt:
         for row in rows:
             writer.writerow([_csv_cell(row.get(c)) for c in columns])
         return buf.getvalue()
-    payload = {
-        "command": command,
-        "rows": [{c: row.get(c) for c in columns} for row in rows],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    # The text of json.dumps({"command": ..., "rows": ...}, indent=2) + "\n",
+    # encoded by the C encoder, which json.dumps bypasses once indent is
+    # set.  Cells are scalars and columns is never empty, and an encoded
+    # string holds no raw newline, so "}" + _ITEM_SEP + "{" occurs only
+    # between two rows, where indent=2 closes one row and opens the next.
+    flat = json.dumps(
+        [{c: row.get(c) for c in columns} for row in rows], separators=(_ITEM_SEP, ": ")
+    )
+    body = flat[2:-2].replace("}" + _ITEM_SEP + "{", "\n    },\n    {\n      ")
+    table = f"[\n    {{\n      {body}\n    }}\n  ]" if rows else "[]"
+    return f'{{\n  "command": {json.dumps(command)},\n  "rows": {table}\n}}\n'
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(

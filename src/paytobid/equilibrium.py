@@ -14,15 +14,28 @@ the closed form through the indifference condition.
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 from typing import Mapping
 
 from .utility import CarlUtility, RiskCoefficient, UtilityRangeError
 
+# DEFAULT_ROUND_CAP and GameMode set up a Monte Carlo run.  They live
+# here, where numpy is not imported, so the CLI can name them without
+# loading the simulator.
+DEFAULT_ROUND_CAP = 10_000_000  # effective rounds before a game stops as truncated
+
 
 class ParameterError(ValueError):
     """Auction parameters violate a model invariant."""
+
+
+class GameMode(enum.Enum):
+    """Whether a player who passes may bid again in a later round."""
+
+    WITH_REENTRY = "reentry"
+    NO_REENTRY = "no-reentry"
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .equilibrium import AuctionParams, ParameterError, bid_probability
 
 DEFAULT_TRUNCATION_TOL = 1e-9
@@ -119,6 +117,8 @@ def revenue_series(
             f"the fee series needs about {count:.3g} terms at hazard {h:.3g} to reach "
             f"tolerance {truncation_tol:.3g}; the budget is {SERIES_TERM_BUDGET} terms"
         )
+    import numpy as np  # here, so the closed form starts without numpy's import
+
     terms = math.floor(count) + 1
     decay = 1.0 - h
     chunks = (

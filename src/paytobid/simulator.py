@@ -36,25 +36,31 @@ count and of the grouping.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Iterator, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .equilibrium import AuctionParams, EquilibriumPolicy, ParameterError, require_count
+from .equilibrium import (
+    DEFAULT_ROUND_CAP,
+    AuctionParams,
+    EquilibriumPolicy,
+    GameMode,
+    ParameterError,
+    require_count,
+)
 
-DEFAULT_ROUND_CAP = 10_000_000
+# Most raw rounds a run may be expected to play, over all its games.
+RAW_ROUND_BUDGET = 10**11
 
 
 class PolicyCoverageError(LookupError):
     """The policy table lacks an entry for an active player count."""
 
 
-class GameMode(enum.Enum):
-    WITH_REENTRY = "reentry"
-    NO_REENTRY = "no-reentry"
+class RawRoundBudgetError(ArithmeticError):
+    """A run would be expected to play more than RAW_ROUND_BUDGET raw rounds."""
 
 
 @dataclass(frozen=True)
@@ -505,6 +511,7 @@ _REVENUE, _EFF_LEN, _RAW_LEN, _UTILITY, _ROUNDS_TO_TWO, _REACHED_TWO, _TRUNCATED
 def _simulate_blocks(
     params: AuctionParams,
     mode: GameMode,
+    bid_prob: np.ndarray,
     master_seed: int,
     round_cap: int,
     initial_wealth: float,
@@ -517,7 +524,6 @@ def _simulate_blocks(
     Consecutive blocks are played in groups of at most _GROUP_ENTRIES
     (player, game) entries, or one block where a block holds more.
     """
-    bid_prob = _bid_prob_table(params)
     track_two = mode is GameMode.NO_REENTRY and params.n > 2
     per_group = max(1, _GROUP_ENTRIES // (BLOCK_SIZE * params.n))
     parts = []
@@ -576,6 +582,11 @@ def run_replications(
     games.  A game's draws are thus fixed by its block alone, and the
     reduction runs in replication order, so the result is byte-identical
     for any worker count and any grouping.
+
+    Raises RawRoundBudgetError, before playing, when the games would be
+    expected to play more than RAW_ROUND_BUDGET raw rounds in all: each
+    needs 1/busy(n) of them on average, busy(n) = 1 - (1 - p(n))**n
+    being the chance that a round of n players is not replayed.
     """
     if count < 1:
         raise ParameterError(f"replication count must be >= 1, got {count!r}")
@@ -583,17 +594,27 @@ def run_replications(
         raise ParameterError(f"worker count must be >= 1, got {workers!r}")
     if round_cap < 1:
         raise ParameterError(f"round cap must be >= 1, got {round_cap!r}")
+    bid_prob = _bid_prob_table(params)
+    # Every game, in either mode, waits 1/busy(n) raw rounds on average
+    # for its first effective round.
+    busy = -math.expm1(params.n * math.log1p(-bid_prob[params.n]))
+    if count > RAW_ROUND_BUDGET * busy:
+        raise RawRoundBudgetError(
+            f"{count} replications would play about {count / busy:.3g} raw rounds, since "
+            f"all {params.n} players pass with chance 1 - {busy:.3g}; the budget is "
+            f"{RAW_ROUND_BUDGET:.0e} raw rounds"
+        )
 
     blocks = -(-count // BLOCK_SIZE)
     jobs = min(workers, blocks)
     if jobs == 1:
         summary = _simulate_blocks(
-            params, mode, master_seed, round_cap, initial_wealth, count, 0, blocks
+            params, mode, bid_prob, master_seed, round_cap, initial_wealth, count, 0, blocks
         )
     else:
         bounds = [blocks * w // jobs for w in range(jobs + 1)]
         args = [
-            (params, mode, master_seed, round_cap, initial_wealth, count, lo, hi)
+            (params, mode, bid_prob, master_seed, round_cap, initial_wealth, count, lo, hi)
             for lo, hi in zip(bounds, bounds[1:])
         ]
         from concurrent.futures import ProcessPoolExecutor  # costs ~25 ms of import

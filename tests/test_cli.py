@@ -11,7 +11,7 @@ import sys
 from datetime import timedelta
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import paytobid.cli as cli
@@ -316,6 +316,24 @@ def test_simulate_rerun_is_byte_identical(capsys):
     assert first.encode("utf-8") == second.encode("utf-8")
 
 
+@pytest.mark.parametrize("mode", ["reentry", "no-reentry"])
+def test_simulate_beyond_the_raw_round_budget_exits_3(mode):
+    # lambda is one ulp below 1, so p(5) is about 2.8e-17 and nearly every
+    # raw round would be a replay.  A subprocess, so a hang fails the test.
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "paytobid.cli", "simulate", "--n", "5", "--value", "1",
+            "--bid-fee", "0.9999999999999999", "--replications", "10", "--mode", mode,
+        ],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "the budget is 1e+11 raw rounds" in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # formats and config files
 # ---------------------------------------------------------------------------
@@ -455,6 +473,52 @@ def test_cli_import_leaves_the_process_pool_out():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_equilibrium_runs_without_numpy():
+    # The closed forms are scalar arithmetic, and numpy's import alone
+    # costs a process about 0.18 s.
+    proc = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, paytobid.cli; "
+            "code = paytobid.cli.main(['equilibrium', '--n', '4', '--value', '10', "
+            "'--bid-fee', '1', '--rho=-0.1']); "
+            "assert code == 0, code; "
+            "assert 'numpy' not in sys.modules",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["rows"][-1]["k"] == 4
+
+
+def test_every_exported_name_resolves():
+    # A fresh process, so the lazy names are looked up before anything
+    # else has imported their submodules.
+    proc = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import paytobid\n"
+            "assert set(paytobid.__all__) <= set(dir(paytobid))\n"
+            "for name in paytobid.__all__:\n"
+            "    getattr(paytobid, name)\n"
+            "from paytobid import attrition, simulator\n"
+            "assert paytobid.run_replications is simulator.run_replications\n"
+            "assert paytobid.GameMode is simulator.GameMode\n"
+            "assert paytobid.attrition_profile is attrition.attrition_profile\n"
+            "try:\n"
+            "    paytobid.no_such_name\n"
+            "except AttributeError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise AssertionError('no_such_name resolved')\n",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_closed_stdout_ends_quietly():
     # Python buffers stdout by default and then reports the closed pipe
     # on write; half a megabyte of output overfills any pipe buffer.
@@ -471,6 +535,43 @@ def test_closed_stdout_ends_quietly():
     proc.stderr.close()
     assert proc.wait() == 0
     assert err == b""
+
+
+# Cells of a table row: every JSON scalar, with the float edges and the
+# strings that JSON escapes, plus the text that separates two rows.
+TRICKY_TEXT = ['"', "\\", "\n", "},\n      {", "\u00e9\u2603\U0001d11e", "\ud800", "\x00"]
+json_text = st.one_of(
+    st.text(),
+    st.lists(st.one_of(st.text(max_size=3), st.sampled_from(TRICKY_TEXT))).map("".join),
+)
+json_cells = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, -2.2e-308, -0.0]),
+    json_text,
+)
+
+
+@st.composite
+def tables(draw):
+    columns = draw(st.lists(json_text, min_size=1, max_size=4, unique=True))
+    rows = draw(
+        st.lists(st.dictionaries(st.sampled_from(columns), json_cells), max_size=4)
+    )
+    return columns, rows
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(list(cli.TABLES)), tables())
+@example("equilibrium", (["k"], []))
+@example("revenue", (["k"], [{"k": 1}]))
+@example("simulate", (["k"], [{"k": "},\n      {"}, {}]))
+def test_json_render_matches_indented_dumps(command, table):
+    columns, rows = table
+    payload = {"command": command, "rows": [{c: row.get(c) for c in columns} for row in rows]}
+    assert cli.render(command, columns, rows, "json") == json.dumps(payload, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +608,8 @@ def domain_points(draw):
             f"--bid-fee={fee!r}", f"--rho={rho!r}"]
 
 
-# simulate is left out: near lambda = 1 every raw round is a replay, and
-# no estimate bounds a Monte Carlo run before it starts.
+# simulate is left out: its raw-round budget bounds the replays, but a
+# game may still bid on to its round cap of 10^7 effective rounds.
 @pytest.mark.parametrize("command", ["equilibrium", "revenue", "attrition"])
 def test_valid_domain_exits_cleanly(command):
     @settings(max_examples=100, deadline=timedelta(seconds=5))

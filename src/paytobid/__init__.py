@@ -5,11 +5,12 @@ no-re-entry attrition dynamics for the bid/no-bid fee auction with
 risk-loving (CARL) bidders, cross-validated by an exact Monte Carlo
 simulator of the round-based game.
 
-The names of ``attrition``, ``revenue`` and ``simulator`` load on first
-use (PEP 562).  The chain and the Monte Carlo need numpy, whose import
-costs a process about 0.18 s, while the closed forms are scalar
-arithmetic: importing the package, or running ``paytobid equilibrium``,
-loads none of the three.
+The names of ``attrition`` and ``simulator`` load on first use (PEP
+562).  The chain and the Monte Carlo need numpy, whose import costs a
+process about 0.18 s, while the closed forms of ``equilibrium`` and
+``revenue`` are scalar arithmetic: importing the package, or running
+``paytobid equilibrium`` or ``paytobid revenue`` without Monte Carlo
+replications, loads neither.
 """
 
 from .equilibrium import (
@@ -23,6 +24,15 @@ from .equilibrium import (
     solve_equilibrium_by_bisection,
     win_probability,
 )
+from .revenue import (
+    RevenueBreakdown,
+    SeriesLengthError,
+    closed_form_revenue,
+    expected_entrants,
+    hazard_rate,
+    revenue_series,
+    revenue_supremum,
+)
 from .utility import (
     CarlUtility,
     RiskCoefficient,
@@ -33,17 +43,12 @@ from .utility import (
 # Submodule -> the exported names it defines, imported on first use.
 _LAZY_NAMES = {
     "attrition": (
-        "AttritionProfile", "AttritionTable", "attrition_profile", "bid_count_distribution",
+        "AttritionProfile", "attrition_profile", "bid_count_distribution",
         "endgame_time_fraction", "expected_passage_time", "prob_two_player_endgame",
-    ),
-    "revenue": (
-        "SERIES_TERM_BUDGET", "RevenueBreakdown", "SeriesLengthError", "closed_form_revenue",
-        "expected_entrants", "hazard_rate", "revenue_series", "revenue_supremum",
     ),
     "simulator": (
         "GameRecord", "PolicyCoverageError", "RoundOutcome", "SimulationResult",
-        "UtilityEstimate", "estimate_subgame_utility", "play_one_game", "replication_stream",
-        "run_replications",
+        "play_one_game", "run_replications",
     ),
 }
 _LAZY = {name: module for module, names in _LAZY_NAMES.items() for name in names}
@@ -67,7 +72,6 @@ def __dir__():
 
 __all__ = [
     "AttritionProfile",
-    "AttritionTable",
     "AuctionParams",
     "CarlUtility",
     "DEFAULT_ROUND_CAP",
@@ -80,24 +84,20 @@ __all__ = [
     "RiskCoefficient",
     "RiskCoefficientError",
     "RoundOutcome",
-    "SERIES_TERM_BUDGET",
     "SeriesLengthError",
     "SimulationResult",
-    "UtilityEstimate",
     "UtilityRangeError",
     "attrition_profile",
     "bid_count_distribution",
     "bid_probability",
     "closed_form_revenue",
     "endgame_time_fraction",
-    "estimate_subgame_utility",
     "expected_entrants",
     "expected_passage_time",
     "hazard_rate",
     "indifference_residual",
     "play_one_game",
     "prob_two_player_endgame",
-    "replication_stream",
     "revenue_series",
     "revenue_supremum",
     "run_replications",

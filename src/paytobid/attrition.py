@@ -22,12 +22,17 @@ T[k, k] is close to 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, NamedTuple, Optional, Tuple
+from typing import Callable, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .equilibrium import AuctionParams, require_active_count, require_count, win_probability
+from .equilibrium import (
+    AuctionParams,
+    require_active_count,
+    require_count,
+    round_odds,
+    win_probability,
+)
 
 
 def _transition_rows(params: AuctionParams, ks: range) -> Iterator[np.ndarray]:
@@ -36,12 +41,10 @@ def _transition_rows(params: AuctionParams, ks: range) -> Iterator[np.ndarray]:
     log_fact = np.array([math.lgamma(i + 1.0) for i in range(ks[-1] + 1)])
     for k in ks:
         m = np.arange(1, k + 1)
-        log_q = log_lam / (k - 1)
-        log_bid = math.log(-math.expm1(log_q))
-        log_busy = math.log(-math.expm1(k * log_q))  # replay normaliser 1 - q**k
+        odds = round_odds(log_lam, k)  # busy = 1 - q**k is the replay normaliser
         yield np.exp(
             log_fact[k] - log_fact[m] - log_fact[k - m]
-            + m * log_bid + (k - m) * log_q - log_busy
+            + m * math.log(odds.bid) + (k - m) * odds.log_q - math.log(odds.busy)
         )
 
 
@@ -150,38 +153,3 @@ def endgame_time_fraction(params: AuctionParams, n_players: int) -> float:
     )
     profile = attrition_profile(params, n_players)
     return profile.rounds_to_two / profile.rounds_to_one
-
-
-@dataclass(frozen=True)
-class AttritionTable:
-    """All attrition quantities for player counts up to params.n.
-
-    win_prob: the ratio u(c)/u(v-s) shared by every row.
-    bid_count_dist: k -> distribution over 1..k bidders (rows sum to 1).
-    two_player_endgame_prob: k -> funnel probability, for k >= 3.
-    expected_rounds: (k, target) -> expected effective rounds, target < k.
-    """
-
-    win_prob: float
-    bid_count_dist: Dict[int, np.ndarray]
-    two_player_endgame_prob: Dict[int, float]
-    expected_rounds: Dict[Tuple[int, int], float]
-
-    @classmethod
-    def build(cls, params: AuctionParams) -> "AttritionTable":
-        n = params.n
-        ks = range(2, n + 1)
-        targets = np.arange(1, n)
-        # Column target - 1 holds the rounds to <= target from every start.
-        rounds = _solve(params, n, lambda k, row: targets < k, shape=(n - 1,))
-        funnel = _solve(params, n, _funnel_reward)
-        return cls(
-            win_prob=win_probability(params),
-            bid_count_dist=dict(zip(ks, _transition_rows(params, ks))),
-            two_player_endgame_prob={k: float(funnel[k]) for k in range(3, n + 1)},
-            expected_rounds={
-                (k, target): float(rounds[k, target - 1])
-                for k in ks
-                for target in range(1, k)
-            },
-        )

@@ -14,7 +14,7 @@ Tables go to stdout as JSON or CSV (17 significant digits either way);
 diagnostics go to stderr.  Exit codes: 0 success, also when the reader
 of stdout closes it early (as `| head` does); 2 configuration or
 invariant violation; 3 numerical failure (a quantity left the range of
-a float, the fee series would need more terms than its budget, or a
+a float, the hazard rate is too small for the fee series to decay, or a
 Monte Carlo run would be expected to play more raw rounds than its
 budget).
 """
@@ -424,8 +424,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
-        # SeriesLengthError, UtilityRangeError, and the ZeroDivisionError
-        # and FloatingPointError of the revenue and attrition formulas.
+        # SeriesLengthError, UtilityRangeError, RawRoundBudgetError, and
+        # the FloatingPointError of the attrition chain.
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     try:

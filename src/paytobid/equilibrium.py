@@ -8,8 +8,11 @@ players the equilibrium bid probability is
 where c is the bid fee, v the object value, s the sale price and u the
 CARL utility kernel.  The ratio lambda = u(c)/u(v-s) is also the
 probability that any bidding player wins the object in a given round,
-independent of k.  A bisection solver provides an independent check of
-the closed form through the indifference condition.
+independent of k.  round_odds derives every per-round figure of the
+game from log lambda: p(k), the chance that somebody bids, the expected
+bids of a round and the chance that it ends the game.  A bisection
+solver provides an independent check of the closed form through the
+indifference condition.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .utility import CarlUtility, RiskCoefficient, UtilityRangeError
 
@@ -128,15 +131,49 @@ def win_probability(params: AuctionParams) -> float:
     return lam
 
 
-def _bid_probability(log_lam: float, k: int) -> float:
-    # -expm1 keeps precision when the k-th root of lambda is close to 1.
-    return -math.expm1(log_lam / (k - 1))
+class RoundOdds(NamedTuple):
+    """The per-round figures of k active players, all derived from log lambda.
+
+    Each player passes with q = lambda ** (1 / (k - 1)), and log_q holds
+    its logarithm.  bid is p(k) = 1 - q, busy = 1 - q**k the chance that
+    at least one of the k bids, entrants = k p / busy the expected bids
+    of an effective round (one with a bid), and hazard = k p q**(k - 1) /
+    busy = lambda * entrants the chance that it ends the game.
+    """
+
+    log_q: float
+    bid: float
+    busy: float
+    entrants: float
+    hazard: float
+
+
+def round_odds(log_lam: float, k: int) -> RoundOdds:
+    """RoundOdds of k >= 2 active players at a win ratio lambda in (0, 1).
+
+    bid and busy come from expm1, which keeps them to a few ulps when q
+    is close to 1, and the hazard takes q**(k - 1) as lambda itself, so
+    no figure is built from 1 - p, which cancels when p is close to 1
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, on expm1
+    and log1p).  busy > 0 whenever log_lam < 0, so the hazard, lambda
+    times entrants >= 1, is positive too.
+    """
+    log_q = log_lam / (k - 1)
+    bid = -math.expm1(log_q)
+    busy = -math.expm1(k * log_q)
+    entrants = k * bid / busy
+    return RoundOdds(log_q, bid, busy, entrants, math.exp(log_lam) * entrants)
+
+
+def odds_at(params: AuctionParams, k: int) -> RoundOdds:
+    """round_odds of k active players under params."""
+    require_active_count(k)
+    return round_odds(math.log(win_probability(params)), k)
 
 
 def bid_probability(params: AuctionParams, k: int) -> float:
     """Equilibrium probability of playing Bid with k active players."""
-    require_active_count(k)
-    return _bid_probability(math.log(win_probability(params)), k)
+    return odds_at(params, k).bid
 
 
 @dataclass(frozen=True)
@@ -155,7 +192,7 @@ class EquilibriumPolicy:
     def from_params(cls, params: AuctionParams) -> "EquilibriumPolicy":
         lam = win_probability(params)
         log_lam = math.log(lam)
-        table = {k: _bid_probability(log_lam, k) for k in range(2, params.n + 1)}
+        table = {k: round_odds(log_lam, k).bid for k in range(2, params.n + 1)}
         return cls(win_prob=lam, bid_prob=table)
 
 

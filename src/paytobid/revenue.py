@@ -4,7 +4,9 @@ An "effective round" is a round conditioned on at least one bid
 (all-pass rounds are replayed under the tie-breaking rule, so they
 carry no fees and no information).  With stationary mixing the game
 length is geometric in the hazard rate and the fee income telescopes
-into the closed form s + c * u(v - s) / u(c).
+into the closed form s + c * u(v - s) / u(c).  The per-round figures
+come from equilibrium.round_odds, and the fee series is summed in
+closed form, so this module is scalar arithmetic and needs no numpy.
 """
 
 from __future__ import annotations
@@ -12,17 +14,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .equilibrium import AuctionParams, ParameterError, bid_probability
+from .equilibrium import AuctionParams, ParameterError, odds_at
 
 DEFAULT_TRUNCATION_TOL = 1e-9
-# Most terms revenue_series will sum (about a second of work), and the
-# size of the numpy chunks it sums them in.
-SERIES_TERM_BUDGET = 100_000_000
-SERIES_CHUNK = 65_536
 
 
 class SeriesLengthError(ArithmeticError):
-    """The fee series cannot reach its tolerance within SERIES_TERM_BUDGET terms."""
+    """The hazard rate is too small for 1 - h to differ from 1 in floating point.
+
+    The fee series then has no decay to sum; the closed form still holds.
+    """
 
 
 @dataclass(frozen=True)
@@ -41,31 +42,14 @@ class RevenueBreakdown:
     expected_length: float
 
 
-def _busy_probability(p: float, k: int) -> float:
-    """1 - (1-p)**k, the chance that at least one of k players bids.
-
-    Raises ZeroDivisionError when p is too small for 1 - p to differ
-    from 1 in floating point (the win ratio is within an ulp or so of
-    1), since every per-round statistic divides by this chance.
-    """
-    busy = 1.0 - (1.0 - p) ** k
-    if busy == 0.0:
-        raise ZeroDivisionError(
-            f"the bid probability {p:.3g} leaves 1 - p equal to 1 in floating point, "
-            f"so the chance that any of {k} players bids rounds to 0"
-        )
-    return busy
-
-
 def hazard_rate(params: AuctionParams, k: int) -> float:
     """Chance an effective round ends the game (exactly one bid).
 
     k * p * (1-p)**(k-1) / (1 - (1-p)**k), the probability of a single
-    bidder conditional on not all k players passing.  Raises
-    ZeroDivisionError where the denominator rounds to 0.
+    bidder conditional on not all k players passing; it equals
+    lambda * expected_entrants, so it is never below lambda.
     """
-    p = bid_probability(params, k)
-    return k * p * (1.0 - p) ** (k - 1) / _busy_probability(p, k)
+    return odds_at(params, k).hazard
 
 
 def expected_entrants(params: AuctionParams, k: int) -> float:
@@ -73,10 +57,8 @@ def expected_entrants(params: AuctionParams, k: int) -> float:
 
     k * p / (1 - (1-p)**k); always above k * p because conditioning on
     at least one bid removes the zero-bid outcome, and never above k.
-    Raises ZeroDivisionError where the denominator rounds to 0.
     """
-    p = bid_probability(params, k)
-    return k * p / _busy_probability(p, k)
+    return odds_at(params, k).entrants
 
 
 def revenue_series(
@@ -86,46 +68,36 @@ def revenue_series(
 
     Sums c * Q * (1-h)**(t-1) over rounds t = 1..T, where T is the first
     round whose exact geometric tail (1-h)**T * c * Q / h falls below the
-    truncation tolerance; T is worked out from that tail before anything
-    is summed.  The weights are powers of 1 - h as rounded to a float,
-    evaluated in numpy chunks of at most SERIES_CHUNK terms whose partial
-    sums are added exactly.  That rounding moves h by up to about 1e-16,
-    so the relative error of the sum is about 1e-16 / h.  Returns the
-    fee component only; add the sale price for the total.  Defined for
-    the stationary (re-entry) regime.
+    truncation tolerance.  The weights are powers of d = 1 - h as rounded
+    to a float, and their sum is the closed geometric form
+    (1 - d**T) / (1 - d).  The rounding of d moves h by up to about
+    1e-16, so the relative error of the sum is about 1e-16 / h.  Returns
+    the fee component only; add the sale price for the total.  Defined
+    for the stationary (re-entry) regime.
 
-    Raises SeriesLengthError, without summing, when h rounds to 0 or T
-    exceeds SERIES_TERM_BUDGET; the closed form still holds there.
+    Raises SeriesLengthError when h is too small to move d off 1; the
+    closed form still holds there.
     """
     if not truncation_tol > 0:
         raise ParameterError(
             f"truncation tolerance must be positive, got {truncation_tol!r}"
         )
-    h = hazard_rate(params, params.n)
-    per_round_fees = params.bid_fee * expected_entrants(params, params.n)
-    if h == 0.0:
-        raise SeriesLengthError(
-            "the hazard rate rounds to 0, so the fee series never reaches its tolerance"
-        )
-    # T is the first t with t * log(1 - h) < log(tol * h / (c * Q)).  A
-    # hazard that rounds up to 1 ends every game in its first round.
-    log_decay = math.log1p(-h) if h < 1.0 else -math.inf
-    log_tail = math.log(truncation_tol) + math.log(h) - math.log(per_round_fees)
-    count = log_tail / log_decay if log_tail < 0.0 else 0.0
-    if count >= SERIES_TERM_BUDGET:
-        raise SeriesLengthError(
-            f"the fee series needs about {count:.3g} terms at hazard {h:.3g} to reach "
-            f"tolerance {truncation_tol:.3g}; the budget is {SERIES_TERM_BUDGET} terms"
-        )
-    import numpy as np  # here, so the closed form starts without numpy's import
-
-    terms = math.floor(count) + 1
+    odds = odds_at(params, params.n)
+    h = odds.hazard
+    per_round_fees = params.bid_fee * odds.entrants
     decay = 1.0 - h
-    chunks = (
-        np.power(decay, np.arange(lo, min(lo + SERIES_CHUNK, terms), dtype=np.float64)).sum()
-        for lo in range(0, terms, SERIES_CHUNK)
-    )
-    return per_round_fees * math.fsum(chunks)
+    if 1.0 - decay == 0.0:
+        raise SeriesLengthError(
+            f"the hazard rate {h:.3g} leaves 1 - h equal to 1 in floating point, "
+            "so the fee series never decays"
+        )
+    # A hazard that rounds to 1 ends every game in its first round.
+    if decay <= 0.0:
+        return per_round_fees
+    # T is the first t with t * log(1 - h) < log(tol * h / (c * Q)).
+    log_tail = math.log(truncation_tol) + math.log(h) - math.log(per_round_fees)
+    terms = math.floor(log_tail / math.log1p(-h) if log_tail < 0.0 else 0.0) + 1
+    return per_round_fees * -math.expm1(terms * math.log(decay)) / (1.0 - decay)
 
 
 def closed_form_revenue(params: AuctionParams) -> RevenueBreakdown:
@@ -140,19 +112,14 @@ def closed_form_revenue(params: AuctionParams) -> RevenueBreakdown:
     fee = params.bid_fee * (
         u.evaluate(params.value - params.sale_price) / u.evaluate(params.bid_fee)
     )
-    h = hazard_rate(params, params.n)
-    # For extreme premiums the mixing probability rounds to exactly 1
-    # and the representable hazard underflows to 0; the total is still
-    # well defined, so report the degenerate length as infinite rather
-    # than failing.
-    length = math.inf if h == 0.0 else 1.0 / h
+    odds = odds_at(params, params.n)
     return RevenueBreakdown(
         sale_price_component=params.sale_price,
         fee_component=fee,
         total=params.sale_price + fee,
-        hazard=h,
-        expected_entrants=expected_entrants(params, params.n),
-        expected_length=length,
+        hazard=odds.hazard,
+        expected_entrants=odds.entrants,
+        expected_length=1.0 / odds.hazard,
     )
 
 

@@ -48,6 +48,7 @@ from .equilibrium import (
     EquilibriumPolicy,
     GameMode,
     ParameterError,
+    odds_at,
     require_count,
 )
 
@@ -126,11 +127,6 @@ class SimulationResult:
     se_rounds_to_two: Optional[float]
 
 
-class UtilityEstimate(NamedTuple):
-    mean: float
-    se: float
-
-
 def _philox_stream(master_seed: int, index: int) -> np.random.Generator:
     """Stream number ``index`` of the Philox key ``master_seed``.
 
@@ -140,17 +136,6 @@ def _philox_stream(master_seed: int, index: int) -> np.random.Generator:
     """
     require_count(master_seed, 0, "master seed must be a non-negative integer, got {!r}")
     return np.random.Generator(np.random.Philox(key=master_seed).jumped(index))
-
-
-def replication_stream(master_seed: int, index: int) -> np.random.Generator:
-    """Independent random stream for one game of the scalar engine.
-
-    Feeds ``play_one_game`` directly; distinct indices give disjoint
-    streams.  ``run_replications`` does not use it: its batched engine
-    draws one stream per block of replications, so game i of a run is
-    not the game this stream plays.
-    """
-    return _philox_stream(master_seed, index)
 
 
 def play_one_game(
@@ -284,10 +269,7 @@ class BlockRecord(NamedTuple):
 
 def _bid_prob_table(params: AuctionParams) -> np.ndarray:
     """p(k) indexed by the active count k; entries 0 and 1 are unused."""
-    table = np.zeros(params.n + 1)
-    for k, p in EquilibriumPolicy.from_params(params).bid_prob.items():
-        table[k] = p
-    return table
+    return np.array([0.0, 0.0, *EquilibriumPolicy.from_params(params).bid_prob.values()])
 
 
 def _play_block(
@@ -597,7 +579,7 @@ def run_replications(
     bid_prob = _bid_prob_table(params)
     # Every game, in either mode, waits 1/busy(n) raw rounds on average
     # for its first effective round.
-    busy = -math.expm1(params.n * math.log1p(-bid_prob[params.n]))
+    busy = odds_at(params, params.n).busy
     if count > RAW_ROUND_BUDGET * busy:
         raise RawRoundBudgetError(
             f"{count} replications would play about {count / busy:.3g} raw rounds, since "
@@ -659,23 +641,3 @@ def run_replications(
         mean_rounds_to_two=t_two,
         se_rounds_to_two=se_two,
     )
-
-
-def estimate_subgame_utility(
-    params: AuctionParams,
-    mode: GameMode,
-    initial_wealth: float,
-    count: int,
-    master_seed: int,
-    round_cap: int = DEFAULT_ROUND_CAP,
-) -> UtilityEstimate:
-    """Monte Carlo estimate of E[u(initial_wealth + net money)].
-
-    In equilibrium this equals u(initial_wealth) in both modes: the
-    game is utility-fair, so the estimate's confidence interval should
-    cover that value.
-    """
-    result = run_replications(
-        params, mode, count, master_seed, round_cap, initial_wealth=initial_wealth
-    )
-    return UtilityEstimate(result.mean_player_utility, result.se_player_utility)

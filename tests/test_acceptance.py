@@ -25,7 +25,6 @@ from paytobid import (
     CarlUtility,
     bid_probability,
     closed_form_revenue,
-    estimate_subgame_utility,
     expected_passage_time,
     indifference_residual,
     prob_two_player_endgame,
@@ -200,13 +199,15 @@ def test_c06_subgame_utility_matches_wealth_utility():
     for wealth in (0.0, 5.0):
         for mode, n in ((GameMode.WITH_REENTRY, 3), (GameMode.NO_REENTRY, 4)):
             params = make_params((10.0, 0.0, 1.0), rho=-0.1, n=n)
-            estimate = estimate_subgame_utility(
-                params, mode, wealth, MC_COUNT, SUBGAME_SEEDS[(wealth, mode.value)]
+            result = run_replications(
+                params, mode, MC_COUNT, SUBGAME_SEEDS[(wealth, mode.value)],
+                initial_wealth=wealth,
             )
             target = kernel.evaluate(wealth)
-            if abs(estimate.mean - target) > 3.0 * estimate.se:
+            if abs(result.mean_player_utility - target) > 3.0 * result.se_player_utility:
                 problems.append(
-                    f"w0={wealth} {mode.value}: {estimate.mean:.5f} vs u(w0)={target:.5f}"
+                    f"w0={wealth} {mode.value}: {result.mean_player_utility:.5f} "
+                    f"vs u(w0)={target:.5f}"
                 )
     report(
         "C06",

@@ -2,12 +2,10 @@
 
 import math
 
-import numpy as np
 import pytest
 from mpmath import mp, mpf
 
 from paytobid import (
-    AttritionTable,
     AuctionParams,
     GameMode,
     ParameterError,
@@ -209,25 +207,8 @@ def test_time_fraction_requires_three_players():
 
 
 # ---------------------------------------------------------------------------
-# Aggregate table.
+# Every figure from one solve.
 # ---------------------------------------------------------------------------
-
-def test_attrition_table_is_consistent_with_pointwise_ops():
-    params = attrition_params(5, 10)
-    table = AttritionTable.build(params)
-    assert table.win_prob == pytest.approx(0.1, rel=1e-14)
-    assert sorted(table.bid_count_dist) == [2, 3, 4, 5]
-    for k, dist in table.bid_count_dist.items():
-        np.testing.assert_allclose(dist, bid_count_distribution(params, k), rtol=1e-15)
-        assert abs(float(dist.sum()) - 1.0) <= 1e-12
-    assert sorted(table.two_player_endgame_prob) == [3, 4, 5]
-    for k, prob in table.two_player_endgame_prob.items():
-        assert 0.0 <= prob <= 1.0
-        assert prob == pytest.approx(prob_two_player_endgame(params, k), rel=1e-15)
-    for (k, target), rounds in table.expected_rounds.items():
-        assert target < k
-        assert rounds == pytest.approx(expected_passage_time(params, k, target), rel=1e-15)
-
 
 @pytest.mark.parametrize("ratio", LADDER)
 @pytest.mark.parametrize("n", [2, 3, 10, 150])

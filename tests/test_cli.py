@@ -13,9 +13,16 @@ from datetime import timedelta
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpf
 
 import paytobid.cli as cli
-from paytobid import AuctionParams, SimulationResult, bid_probability, closed_form_revenue
+from paytobid import (
+    AuctionParams,
+    SimulationResult,
+    bid_probability,
+    closed_form_revenue,
+    win_probability,
+)
 from paytobid.cli import main
 
 from helpers import make_params
@@ -107,12 +114,14 @@ UNDERFLOW = "win ratio u(bid_fee) / u(value - sale_price) underflows to 0"
         (["equilibrium", "--n", "3", "--value", "1e308", "--bid-fee", "1e-300"], UNDERFLOW),
         (["revenue", "--n", "3", "--value", "1e308", "--bid-fee", "1e-300"], UNDERFLOW),
         (["attrition", "--n", "3", "--value", "1e308", "--bid-fee", "1e-300"], UNDERFLOW),
-        # lambda is one ulp below 1, so 1 - p(5) rounds to 1.
-        (
-            ["revenue", "--n", "5", "--value", "1", "--bid-fee", "0.9999999999999999"],
-            "chance that any of 5 players bids rounds to 0",
-        ),
         # u(c) and u(v - s) round to the same float, so lambda is 1.
+        (
+            [
+                "revenue", "--n", "3", "--value", "0.002646798246996781",
+                "--bid-fee", "0.0026467982469967804", "--rho=-0.07978924461484152",
+            ],
+            "rounds to 1",
+        ),
         (
             [
                 "attrition", "--n", "3", "--value", "0.002646798246996781",
@@ -473,15 +482,23 @@ def test_cli_import_leaves_the_process_pool_out():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_equilibrium_runs_without_numpy():
+@pytest.mark.parametrize(
+    "argv,last_row",
+    [
+        (["equilibrium"], {"k": 4}),
+        (["revenue", "--replications", "0"], {"status": "OK", "replications": 0}),
+    ],
+    ids=["equilibrium", "revenue"],
+)
+def test_closed_forms_run_without_numpy(argv, last_row):
     # The closed forms are scalar arithmetic, and numpy's import alone
     # costs a process about 0.18 s.
+    argv = [*argv, "--n", "4", "--value", "10", "--bid-fee", "1", "--rho=-0.1"]
     proc = subprocess.run(
         [
             sys.executable, "-c",
             "import sys, paytobid.cli; "
-            "code = paytobid.cli.main(['equilibrium', '--n', '4', '--value', '10', "
-            "'--bid-fee', '1', '--rho=-0.1']); "
+            f"code = paytobid.cli.main({argv!r}); "
             "assert code == 0, code; "
             "assert 'numpy' not in sys.modules",
         ],
@@ -489,7 +506,7 @@ def test_equilibrium_runs_without_numpy():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["rows"][-1]["k"] == 4
+    assert last_row.items() <= json.loads(proc.stdout)["rows"][-1].items()
 
 
 def test_every_exported_name_resolves():
@@ -622,3 +639,58 @@ def test_valid_domain_exits_cleanly(command):
         assert code == 0 or out.getvalue() == ""
 
     check()
+
+
+# Points the per-round figures once got wrong: at n = 130 the hazard and
+# the entrants, built from 1 - p, both read 0.5116 for about 1, and with
+# lambda one ulp below 1 the chance that any of 5 players bids rounded
+# to 0 (exit 3).  Both must exit 0.
+EXIT_0_EDGES = (
+    ["--n=130", "--value=110.23471016620003", "--sale-price=0.0",
+     "--bid-fee=110.23471016619925", "--rho=-4.057716745082637e-05"],
+    ["--n=5", "--value=1.0", "--sale-price=0.0", "--bid-fee=0.9999999999999999", "--rho=0.0"],
+)
+
+
+@settings(max_examples=100, deadline=timedelta(seconds=5))
+@given(domain_points())
+@example(EXIT_0_EDGES[0])
+@example(EXIT_0_EDGES[1])
+def test_revenue_rows_match_the_oracle(flags):
+    """Every exit-0 revenue row against 60-digit mpmath, within 1e-12 relative.
+
+    lambda and the total are checked against the exact ratio of
+    utilities.  p(n), the hazard, the entrants and the length are checked
+    at the program's own lambda: within ulps of 1, the rounding of
+    lambda alone moves 1 - lambda, and with it p(n), by far more than
+    1e-12.  series_fee is left out: its weights are powers of 1 - h as
+    rounded to a float, which is off by about 1e-16 / h.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["revenue", *flags])
+    assert code in (0, 2, 3), err.getvalue()
+    assert code == 0 or flags not in EXIT_0_EDGES, err.getvalue()
+    if code != 0:
+        return
+    (row,) = json.loads(out.getvalue())["rows"]
+    fields = ("n", "value", "sale_price", "bid_fee", "rho")
+    params = AuctionParams(**{key: row[key] for key in fields})
+    lam = win_probability(params)
+    k = params.n
+    with mp.workdps(60):
+        rho, fee = mpf(params.rho), mpf(params.bid_fee)
+        prize = mpf(params.value - params.sale_price)
+        u = (lambda x: x) if rho == 0 else (lambda x: mp.expm1(-rho * x) / -rho)
+        q = mpf(lam) ** (mpf(1) / (k - 1))
+        entrants = k * (1 - q) / (1 - q**k)
+        checks = [
+            ("lambda", lam, u(fee) / u(prize)),
+            ("total", row["total"], params.sale_price + fee * u(prize) / u(fee)),
+            ("p(n)", bid_probability(params, k), 1 - q),
+            ("hazard", row["hazard"], lam * entrants),
+            ("expected_entrants", row["expected_entrants"], entrants),
+            ("expected_length", row["expected_length"], 1 / (lam * entrants)),
+        ]
+        for name, got, exact in checks:
+            assert abs(got - exact) <= 1e-12 * abs(exact), (name, got, exact)

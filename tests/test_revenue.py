@@ -98,6 +98,14 @@ def test_series_single_term_is_per_round_fee_flow():
     assert revenue_series(params, truncation_tol=1e9) == pytest.approx(per_round, rel=1e-15)
 
 
+def test_series_at_a_hazard_within_an_ulp_of_1_is_one_term():
+    # lambda is one ulp below 1, so h = 2 lambda / (1 + lambda) is within
+    # half an ulp of 1 (the kernel rounds it to 1), and every weight
+    # after the first is below the rounding of the sum.
+    params = AuctionParams(n=2, value=1.0, sale_price=0.0, bid_fee=0.9999999999999999, rho=0.0)
+    assert revenue_series(params) == params.bid_fee * expected_entrants(params, 2)
+
+
 # Per-round routes need a desk-scale hazard: past the budget the
 # rounding of (1 - hazard) alone drifts a million-term series beyond
 # any absolute tolerance (see helpers).
@@ -112,8 +120,8 @@ def test_series_agrees_with_closed_form(money, rho, n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_series_refuses_a_vanishing_hazard(n):
-    # At n = 2 the hazard rounds to 0; at n = 3 it is about 2e-21, and
-    # the tolerance would take about 3e22 terms.
+    # The hazard is about 1.3e-21 at n = 2 and 2e-21 at n = 3, too small
+    # for 1 - h to differ from 1, so the weights would never decay.
     params = make_params((100.0, 5.0, 0.5), rho=-0.5, n=n)
     with pytest.raises(SeriesLengthError):
         revenue_series(params)

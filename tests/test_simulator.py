@@ -17,13 +17,17 @@ from paytobid import (
     ParameterError,
     PolicyCoverageError,
     closed_form_revenue,
-    estimate_subgame_utility,
     play_one_game,
-    replication_stream,
     run_replications,
 )
 from paytobid import simulator
-from paytobid.simulator import BLOCK_SIZE, _bid_prob_table, _net_money, _play_block
+from paytobid.simulator import (
+    BLOCK_SIZE,
+    _bid_prob_table,
+    _net_money,
+    _philox_stream,
+    _play_block,
+)
 
 from helpers import MC_COUNT, attrition_params, attrition_seed, make_params, revenue_seed
 
@@ -206,7 +210,7 @@ def test_accounting_identity_per_game():
     policy = EquilibriumPolicy.from_params(params)
     for index in range(50):
         record = play_one_game(
-            params, GameMode.WITH_REENTRY, policy, replication_stream(99, index)
+            params, GameMode.WITH_REENTRY, policy, _philox_stream(99, index)
         )
         total_bids = int(record.bid_counts.sum())
         assert record.revenue - params.sale_price == params.bid_fee * total_bids
@@ -225,7 +229,7 @@ def test_no_reentry_round_chain_is_consistent():
     policy = EquilibriumPolicy.from_params(params)
     for index in range(50):
         record = play_one_game(
-            params, GameMode.NO_REENTRY, policy, replication_stream(123, index)
+            params, GameMode.NO_REENTRY, policy, _philox_stream(123, index)
         )
         for prev, nxt in zip(record.rounds, record.rounds[1:]):
             assert len(prev.bidder_ids) >= 2
@@ -237,16 +241,16 @@ def test_no_reentry_round_chain_is_consistent():
 # ---------------------------------------------------------------------------
 
 def test_replication_streams_are_reproducible_and_distinct():
-    a = replication_stream(7, 3).random(8)
-    b = replication_stream(7, 3).random(8)
-    c = replication_stream(7, 4).random(8)
+    a = _philox_stream(7, 3).random(8)
+    b = _philox_stream(7, 3).random(8)
+    c = _philox_stream(7, 4).random(8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_master_seed_must_be_a_non_negative_integer():
     with pytest.raises(ParameterError):
-        replication_stream(-1, 0)
+        _philox_stream(-1, 0)
 
 
 def test_rerun_is_identical():
@@ -332,7 +336,7 @@ def test_symmetric_bid_frequencies_chi_square():
             params,
             GameMode.WITH_REENTRY,
             policy,
-            replication_stream(2024, index),
+            _philox_stream(2024, index),
             collect_rounds=False,
         )
         counts += record.bid_counts
@@ -356,7 +360,7 @@ def test_batched_engine_matches_scalar_distributions(mode):
     policy = EquilibriumPolicy.from_params(params)
     scalar = [
         play_one_game(
-            params, mode, policy, replication_stream(4242, index), collect_rounds=False
+            params, mode, policy, _philox_stream(4242, index), collect_rounds=False
         )
         for index in range(DIFFERENTIAL_GAMES)
     ]
@@ -409,10 +413,10 @@ def test_single_game_block_replays_the_scalar_game(round_cap):
     table = _bid_prob_table(params)
     for index in range(200):
         game = play_one_game(
-            params, GameMode.WITH_REENTRY, policy, replication_stream(8, index), round_cap
+            params, GameMode.WITH_REENTRY, policy, _philox_stream(8, index), round_cap
         )
         block = _play_block(
-            params, GameMode.WITH_REENTRY, table, [replication_stream(8, index)], [1], round_cap
+            params, GameMode.WITH_REENTRY, table, [_philox_stream(8, index)], [1], round_cap
         )
         assert block.winner[0] == (-1 if game.winner is None else game.winner)
         assert block.won[0].tolist() == [i == game.winner for i in range(params.n)]
@@ -633,7 +637,7 @@ def test_count_block_holdings_cover_the_roster():
         params,
         GameMode.NO_REENTRY,
         _bid_prob_table(params),
-        [replication_stream(5, 0)],
+        [_philox_stream(5, 0)],
         [500],
         DEFAULT_ROUND_CAP,
     )
@@ -682,9 +686,9 @@ def test_mean_revenue_matches_closed_form(mc, rho):
 @pytest.mark.slow
 def test_subgame_utility_is_wealth_utility(mc):
     params = make_params((10.0, 0.0, 1.0), rho=-0.1, n=3)
-    estimate = estimate_subgame_utility(params, GameMode.WITH_REENTRY, 5.0, 20_000, 909)
+    result = run_replications(params, GameMode.WITH_REENTRY, 20_000, 909, initial_wealth=5.0)
     target = params.utility.evaluate(5.0)
-    assert abs(estimate.mean - target) <= 3.0 * estimate.se
+    assert abs(result.mean_player_utility - target) <= 3.0 * result.se_player_utility
 
 
 def test_raw_length_at_least_effective_length(mc):

@@ -11,34 +11,31 @@ without it, the active set of the next round is the set of bidders.
 Two engines play these rules.  ``play_one_game`` is the scalar
 reference: one game, one Python loop, a full per-round log on request.
 ``run_replications`` plays games with numpy.  Replications are cut into
-consecutive blocks of BLOCK_SIZE, and block b owns the counter-based
-random stream derived from (master_seed, b).  Consecutive blocks are
-played together as a group in one lockstep loop: each step is one raw
-round of every running game of the group, and it asks each block's
-stream once, for that block's running games in slot order.  Every block
-therefore draws exactly what it would draw played alone, while the
-loop runs as many steps as the group's longest game instead of the sum
-of its blocks' longest games.  A group holds at most _GROUP_ENTRIES
-(player, game) entries, or one block where a block holds more, which
-bounds memory and changes no result.
+consecutive blocks whose size depends only on the mode and n, and block
+b owns the counter-based random stream derived from (master_seed, b).
+A block is played in one lockstep loop: each step is one raw round of
+every running game of the block, and it asks the block's stream once,
+for the running games in slot order.
 
 With re-entry a step draws one row of n uniforms per game, as the
 scalar engine does, and the running games' bids are kept one row per
-player.  Without re-entry the equilibrium is Markov in the active count
-k (Kemeny & Snell, *Finite Markov Chains*, 1960), so a game keeps only
-k and a step draws one binomial(k, p(k)) bidder count; players are
-then known only as holdings, groups who left in the same round with
-the same bids, and a group holds O(games + rounds) values whatever n
-is.  Workers receive whole blocks and the reduction runs in replication
+player; a block holds at most BLOCK_SIZE * 64 (player, game) entries,
+or one game where n is larger, which bounds memory.  Without re-entry
+the equilibrium is Markov in the active count k (Kemeny & Snell,
+*Finite Markov Chains*, 1960), so a game keeps only k and a step draws
+one binomial(k, p(k)) bidder count; players are then known only as
+holdings, groups who left in the same round with the same bids, and a
+block of BLOCK_SIZE games holds O(games + rounds) values whatever n is.
+Workers receive whole blocks and the reduction runs in replication
 order, so results are bit-reproducible and independent of the worker
-count and of the grouping.
+count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -153,8 +150,7 @@ def play_one_game(
     that hit the cap come back flagged as truncated with no winner and
     no sale-price income, never silently dropped.
     """
-    if round_cap < 1:
-        raise ParameterError(f"round cap must be >= 1, got {round_cap!r}")
+    require_count(round_cap, 1, "round cap must be an integer >= 1, got {!r}")
     n = params.n
     track_two = mode is GameMode.NO_REENTRY and n > 2
     active = np.arange(n)
@@ -228,15 +224,17 @@ def play_one_game(
     )
 
 
-# Replications per block; block b of a run draws from stream b.
+# Replications per block without re-entry; block b of a run draws from stream b.
 BLOCK_SIZE = 4096
-# Most (player, game) entries one group of blocks may hold.  It bounds
-# memory only: no result depends on how blocks are grouped.
-_GROUP_ENTRIES = BLOCK_SIZE * 64
+
+
+def _block_size(mode: GameMode, n: int) -> int:
+    """Games per block: BLOCK_SIZE, or BLOCK_SIZE * 64 (player, game) entries with re-entry."""
+    return BLOCK_SIZE if mode is GameMode.NO_REENTRY else max(1, BLOCK_SIZE * 64 // n)
 
 
 class BlockRecord(NamedTuple):
-    """Per-game outcome arrays of a group of blocks, and the holdings of its players.
+    """Per-game outcome arrays of a block, and the holdings of its players.
 
     The per-game fields, one entry per replication, mirror GameRecord
     without the round log.  rounds_to_at_most_two is 0 while a game has
@@ -276,50 +274,23 @@ def _play_block(
     params: AuctionParams,
     mode: GameMode,
     bid_prob: np.ndarray,
-    rngs: Sequence[np.random.Generator],
-    sizes: Sequence[int],
+    rng: np.random.Generator,
+    size: int,
     round_cap: int,
 ) -> BlockRecord:
-    """Play a group of blocks in lockstep under the rules of play_one_game.
+    """Play a block of ``size`` games in lockstep under the rules of play_one_game.
 
-    Block i holds ``sizes[i]`` games and draws from ``rngs[i]``; its
-    games take the next ``sizes[i]`` slots of the record.  Each step is
-    one raw round of every running game of the group.  A round with no
+    Each step is one raw round of every running game.  A round with no
     bid is replayed, a round with one bid ends its game, and a game
     stops flagged as truncated after ``round_cap`` effective rounds.
-    A step asks each block's stream once, for that block's running games
-    in slot order, so every block draws what it would draw played alone.
+    A step asks ``rng`` once, for the running games in slot order.
     With re-entry that is one row of n uniforms per game, compared
     against p(n) as play_one_game does.  Without re-entry the
     equilibrium is Markov in the active count, so a game keeps only its
     count k and draws one binomial(k, p(k)) bidder count.
     """
     play = _play_count_block if mode is GameMode.NO_REENTRY else _play_roster_block
-    return play(params, bid_prob, rngs, sizes, round_cap)
-
-
-class _Running:
-    """The running games of a lockstep group, in slot order, by block."""
-
-    def __init__(self, rngs: Sequence[np.random.Generator], sizes: Sequence[int]):
-        self.rngs = rngs
-        self.slots = np.arange(sum(sizes))
-        self.per_block = np.array(sizes, dtype=np.int64)
-        self.block_of = np.repeat(np.arange(len(sizes)), sizes)
-
-    def spans(self) -> Iterator[tuple]:
-        """(stream, lo, hi) of each block with running games; hi - lo of them."""
-        lo = 0
-        for rng, count in zip(self.rngs, self.per_block.tolist()):
-            if count:
-                yield rng, lo, lo + count
-                lo += count
-
-    def drop(self, keep: np.ndarray) -> None:
-        """Keep the running games where ``keep`` is True."""
-        ended = self.slots[~keep]
-        self.per_block -= np.bincount(self.block_of[ended], minlength=self.per_block.size)
-        self.slots = self.slots[keep]
+    return play(params, bid_prob, rng, size, round_cap)
 
 
 def _revenue(params: AuctionParams, winner: np.ndarray, total_bids: np.ndarray) -> np.ndarray:
@@ -337,7 +308,7 @@ def _net_money(params: AuctionParams, bid_counts: np.ndarray, won: np.ndarray) -
     return net
 
 
-def _play_roster_block(params, bid_prob, rngs, sizes, round_cap) -> BlockRecord:
+def _play_roster_block(params, bid_prob, rng, size, round_cap) -> BlockRecord:
     """_play_block with re-entry: every player draws in every raw round.
 
     The bids of the running games are kept as an (n x running) array, so
@@ -345,22 +316,20 @@ def _play_roster_block(params, bid_prob, rngs, sizes, round_cap) -> BlockRecord:
     adds nothing.  A game's counts are written out when it ends.
     """
     n = params.n
-    size = sum(sizes)
-    run = _Running(rngs, sizes)
+    slots = np.arange(size)  # the running games
     uniforms = np.empty((size, n))
-    counts = np.zeros((n, size), dtype=np.int64)  # bids so far, follows run.slots
-    played = np.zeros(size, dtype=np.int64)  # effective rounds so far, follows run.slots
+    counts = np.zeros((n, size), dtype=np.int64)  # bids so far, follows slots
+    played = np.zeros(size, dtype=np.int64)  # effective rounds so far, follows slots
     bid_counts = np.empty((size, n), dtype=np.int64)
     effective = np.empty(size, dtype=np.int64)
     raw = np.empty(size, dtype=np.int64)
     winner = np.full(size, -1, dtype=np.int64)
     truncated = np.zeros(size, dtype=bool)
     step = 0
-    while run.slots.size:
+    while slots.size:
         step += 1
-        for rng, lo, hi in run.spans():
-            rng.random(out=uniforms[lo:hi])
-        bids = (uniforms[: run.slots.size] < bid_prob[n]).T.copy()
+        rng.random(out=uniforms[: slots.size])
+        bids = (uniforms[: slots.size] < bid_prob[n]).T.copy()
         n_bid = bids.sum(axis=0)
         counts += bids
         played += n_bid > 0
@@ -368,15 +337,14 @@ def _play_roster_block(params, bid_prob, rngs, sizes, round_cap) -> BlockRecord:
         done = ended | (played >= round_cap)
         d = np.flatnonzero(done)
         if d.size:
-            g, won = run.slots[d], ended[d]
+            g, won = slots[d], ended[d]
             bid_counts[g] = counts[:, d].T
             effective[g] = played[d]
             raw[g] = step  # every step was a raw round of each game
             winner[g[won]] = bids[:, d[won]].argmax(axis=0)
             truncated[g] = ~won
             keep = ~done
-            counts, played = np.compress(keep, counts, axis=1), played[keep]
-            run.drop(keep)
+            counts, played, slots = np.compress(keep, counts, axis=1), played[keep], slots[keep]
 
     sold = np.flatnonzero(winner >= 0)
     won = np.zeros((size, n), dtype=bool)
@@ -397,7 +365,7 @@ def _play_roster_block(params, bid_prob, rngs, sizes, round_cap) -> BlockRecord:
     )
 
 
-def _play_count_block(params, bid_prob, rngs, sizes, round_cap) -> BlockRecord:
+def _play_count_block(params, bid_prob, rng, size, round_cap) -> BlockRecord:
     """_play_block without re-entry: one bidder count per game and raw round.
 
     With k players active, m = 0 bidders is a replay.  Any m >= 1 is an
@@ -405,14 +373,13 @@ def _play_count_block(params, bid_prob, rngs, sizes, round_cap) -> BlockRecord:
     good holding one bid fewer than the rounds played, since they bid
     in every round before.  m = 1 ends the game with the winner holding
     one bid per round; at the round cap the m survivors hold as much and
-    nothing is sold.  A group holds O(size + effective rounds) values
+    nothing is sold.  A block holds O(size + effective rounds) values
     whatever the player count.
     """
     n = params.n
-    size = sum(sizes)
     track_two = n > 2
-    run = _Running(rngs, sizes)
-    active = np.full(size, n, dtype=np.int64)  # active count, follows run.slots
+    slots = np.arange(size)  # the running games
+    active = np.full(size, n, dtype=np.int64)  # active count, follows slots
     total_bids = np.zeros(size, dtype=np.int64)
     effective = np.zeros(size, dtype=np.int64)
     raw = np.zeros(size, dtype=np.int64)
@@ -421,14 +388,11 @@ def _play_count_block(params, bid_prob, rngs, sizes, round_cap) -> BlockRecord:
     reached_two = np.zeros(size, dtype=bool)
     held = []  # (holder, players, bid_counts, won) of the holdings closed per step
     step = 0
-    while run.slots.size:
+    while slots.size:
         step += 1
-        p = bid_prob[active]
-        bidders = np.concatenate(
-            [rng.binomial(active[lo:hi], p[lo:hi]) for rng, lo, hi in run.spans()]
-        )
+        bidders = rng.binomial(active, bid_prob[active])
         played = np.flatnonzero(bidders)  # games that made an effective round
-        g, k, m = run.slots[played], active[played], bidders[played]
+        g, k, m = slots[played], active[played], bidders[played]
         effective[g] += 1
         rounds = effective[g]
         total_bids[g] += m
@@ -446,10 +410,9 @@ def _play_count_block(params, bid_prob, rngs, sizes, round_cap) -> BlockRecord:
         active[played] = m
         if done.any():
             raw[g[done]] = step  # every step was a raw round of each game
-            keep = np.ones(run.slots.size, dtype=bool)
+            keep = np.ones(slots.size, dtype=bool)
             keep[played[done]] = False
-            active = active[keep]
-            run.drop(keep)
+            active, slots = active[keep], slots[keep]
 
     holder, players, bid_counts, won = (np.concatenate(part) for part in zip(*held))
     winner = np.full(size, -1, dtype=np.int64)
@@ -481,7 +444,7 @@ def _holding_utility(
     key = 2 * bid_counts + won
     present = np.flatnonzero(np.bincount(key.ravel()))
     amounts = initial_wealth + _net_money(params, present // 2, present % 2 == 1)
-    table = np.empty(present[-1] + 1)
+    table = np.empty(key.max(initial=0) + 1)
     table[present] = [params.utility.evaluate(float(x)) for x in amounts]
     return table[key]
 
@@ -503,23 +466,24 @@ def _simulate_blocks(
 ) -> np.ndarray:
     """Summary rows of blocks [first_block, stop_block) of a run of ``count``.
 
-    Consecutive blocks are played in groups of at most _GROUP_ENTRIES
-    (player, game) entries, or one block where a block holds more.
+    The utility column is evaluated for completed games only and reads 0
+    for truncated ones, which no mean uses.
     """
     track_two = mode is GameMode.NO_REENTRY and params.n > 2
-    per_group = max(1, _GROUP_ENTRIES // (BLOCK_SIZE * params.n))
+    block_size = _block_size(mode, params.n)
     parts = []
-    for first in range(first_block, stop_block, per_group):
-        blocks = range(first, min(first + per_group, stop_block))
-        sizes = [min(BLOCK_SIZE, count - b * BLOCK_SIZE) for b in blocks]
-        size = sum(sizes)
-        rngs = [_philox_stream(master_seed, b) for b in blocks]
-        game = _play_block(params, mode, bid_prob, rngs, sizes, round_cap)
-        held = _holding_utility(params, initial_wealth, game.bid_counts, game.won)
-        if held.ndim == 2:  # re-entry: a row per game, summed along the roster
-            per_game = held.sum(axis=1)
+    for b in range(first_block, stop_block):
+        size = min(block_size, count - b * block_size)
+        game = _play_block(params, mode, bid_prob, _philox_stream(master_seed, b), size, round_cap)
+        done = ~game.truncated
+        if game.bid_counts.ndim == 2:  # re-entry: a row per game, summed along the roster
+            per_game = np.zeros(size)
+            held = _holding_utility(params, initial_wealth, game.bid_counts[done], game.won[done])
+            per_game[done] = held.sum(axis=1)
         else:
-            per_game = np.bincount(game.holder, held * game.players, minlength=size)
+            mine = done[game.holder]
+            held = _holding_utility(params, initial_wealth, game.bid_counts[mine], game.won[mine])
+            per_game = np.bincount(game.holder[mine], held * game.players[mine], minlength=size)
         untracked = np.full(size, np.nan)
         parts.append(
             np.column_stack(
@@ -557,25 +521,23 @@ def run_replications(
 
     The aggregate is a pure function of (params, mode, count,
     master_seed, round_cap, initial_wealth).  Replications are cut into
-    blocks of BLOCK_SIZE, and block b always uses the stream derived
-    from (master_seed, b).  Each worker plays its share of whole blocks
-    in groups of consecutive blocks, one lockstep loop per group, in
-    which every block draws from its own stream only for its own running
-    games.  A game's draws are thus fixed by its block alone, and the
-    reduction runs in replication order, so the result is byte-identical
-    for any worker count and any grouping.
+    blocks whose size depends only on (mode, n): BLOCK_SIZE games
+    without re-entry, and max(1, BLOCK_SIZE * 64 // n) with it, so a
+    block's arrays stay bounded as the roster grows.  Block b always
+    uses the stream derived from (master_seed, b), and each worker plays
+    its share of whole blocks, one lockstep loop per block.  A game's
+    draws are thus fixed by its block alone, and the reduction runs in
+    replication order, so the result is byte-identical for any worker
+    count.
 
     Raises RawRoundBudgetError, before playing, when the games would be
     expected to play more than RAW_ROUND_BUDGET raw rounds in all: each
     needs 1/busy(n) of them on average, busy(n) = 1 - (1 - p(n))**n
     being the chance that a round of n players is not replayed.
     """
-    if count < 1:
-        raise ParameterError(f"replication count must be >= 1, got {count!r}")
-    if workers < 1:
-        raise ParameterError(f"worker count must be >= 1, got {workers!r}")
-    if round_cap < 1:
-        raise ParameterError(f"round cap must be >= 1, got {round_cap!r}")
+    require_count(count, 1, "replication count must be an integer >= 1, got {!r}")
+    require_count(round_cap, 1, "round cap must be an integer >= 1, got {!r}")
+    require_count(workers, 1, "worker count must be an integer >= 1, got {!r}")
     bid_prob = _bid_prob_table(params)
     # Every game, in either mode, waits 1/busy(n) raw rounds on average
     # for its first effective round.
@@ -587,7 +549,7 @@ def run_replications(
             f"{RAW_ROUND_BUDGET:.0e} raw rounds"
         )
 
-    blocks = -(-count // BLOCK_SIZE)
+    blocks = -(-count // _block_size(mode, params.n))
     jobs = min(workers, blocks)
     if jobs == 1:
         summary = _simulate_blocks(

@@ -21,7 +21,7 @@ class RiskCoefficientError(ValueError):
 
 
 class UtilityRangeError(OverflowError):
-    """|rho * x| exceeds the range of the exponential, or u(c)/u(v - s) underflows."""
+    """|rho * x| leaves the exp range, u(x) overflows, or u(c)/u(v - s) underflows."""
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,10 @@ class CarlUtility:
             # expm1(-t) by rho breaks down once t = rho*x underflows,
             # while the series keeps the exact leading term x.
             return x * (1.0 + t * (-0.5 + t * (1.0 / 6.0 - t / 24.0)))
-        return -math.expm1(-t) / r
+        value = -math.expm1(-t) / r
+        if math.isinf(value):  # |rho * x| is in range, but 1 / |rho| is huge
+            raise UtilityRangeError(f"u({x!r}) overflows a float at rho = {r!r}")
+        return value
 
     __call__ = evaluate
 

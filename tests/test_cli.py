@@ -325,6 +325,23 @@ def test_simulate_rerun_is_byte_identical(capsys):
     assert first.encode("utf-8") == second.encode("utf-8")
 
 
+def test_simulate_with_every_game_truncated_exits_2(capsys):
+    # At rho = -0.5 the hazard is about 2e-21, so both games bid on to
+    # the cap.  A player who bid in every round has lost 1500, beyond
+    # the exp range of the utility kernel at this rho; truncated games
+    # enter no mean, so their utility is never evaluated.
+    code, out, err = run_cli(
+        capsys,
+        [
+            "simulate", "--n", "3", "--value", "100", "--sale-price", "5", "--bid-fee", "0.5",
+            "--rho=-0.5", "--replications", "2", "--round-cap", "3000",
+        ],
+    )
+    assert code == 2
+    assert out == ""
+    assert "all 2 replications hit the round cap 3000" in err
+
+
 @pytest.mark.parametrize("mode", ["reentry", "no-reentry"])
 def test_simulate_beyond_the_raw_round_budget_exits_3(mode):
     # lambda is one ulp below 1, so p(5) is about 2.8e-17 and nearly every
@@ -650,12 +667,17 @@ EXIT_0_EDGES = (
      "--bid-fee=110.23471016619925", "--rho=-4.057716745082637e-05"],
     ["--n=5", "--value=1.0", "--sale-price=0.0", "--bid-fee=0.9999999999999999", "--rho=0.0"],
 )
+# u(c) and u(v - s) both overflow to inf here, which once made lambda and
+# the whole row NaN with status OK and exit 0.
+OVERFLOWING_UTILITY = ["--n=10", "--value=1e+267", "--sale-price=0.0",
+                       "--bid-fee=9.999999999999999e+266", "--rho=-1e-265"]
 
 
 @settings(max_examples=100, deadline=timedelta(seconds=5))
 @given(domain_points())
 @example(EXIT_0_EDGES[0])
 @example(EXIT_0_EDGES[1])
+@example(OVERFLOWING_UTILITY)
 def test_revenue_rows_match_the_oracle(flags):
     """Every exit-0 revenue row against 60-digit mpmath, within 1e-12 relative.
 

@@ -20,7 +20,6 @@ from paytobid import (
     play_one_game,
     run_replications,
 )
-from paytobid import simulator
 from paytobid.simulator import (
     BLOCK_SIZE,
     _bid_prob_table,
@@ -260,16 +259,16 @@ def test_rerun_is_identical():
     assert first == second
 
 
-def test_worker_count_does_not_change_the_result():
-    # Four blocks, the last one partial, so every worker count below
-    # splits the run into several jobs.
+@pytest.mark.parametrize("mode, n", [(GameMode.NO_REENTRY, 4), (GameMode.WITH_REENTRY, 200)])
+def test_worker_count_does_not_change_the_result(mode, n):
+    # At least four blocks, the last one partial, so every worker count
+    # below splits the run into several jobs: 4 blocks without
+    # re-entry, and 10 of 1310 games with it at n = 200.
     count = 3 * BLOCK_SIZE + 500
-    params = attrition_params(4, 10)
-    serial = run_replications(params, GameMode.NO_REENTRY, count, 5)
+    params = attrition_params(n, 10)
+    serial = run_replications(params, mode, count, 5)
     for workers in (2, 3):
-        parallel = run_replications(
-            params, GameMode.NO_REENTRY, count, 5, workers=workers
-        )
+        parallel = run_replications(params, mode, count, 5, workers=workers)
         assert parallel == serial
 
 
@@ -308,11 +307,24 @@ def test_truncated_games_counted_not_averaged():
 
 
 def test_replication_count_validated():
+    # Counts are ints >= 1, not bools or floats: True is not one
+    # replication, and 2.5 is neither a count nor a cap.
     params = make_params((10.0, 0.0, 1.0))
-    with pytest.raises(ParameterError):
-        run_replications(params, GameMode.WITH_REENTRY, 0, 1)
-    with pytest.raises(ParameterError):
-        run_replications(params, GameMode.WITH_REENTRY, 10, 1, workers=0)
+    for count, settings in [
+        (0, {}),
+        (True, {}),
+        (2.5, {}),
+        (10, {"workers": 0}),
+        (10, {"workers": 1.5}),
+        (10, {"round_cap": 0}),
+        (10, {"round_cap": 2.5}),
+    ]:
+        with pytest.raises(ParameterError):
+            run_replications(params, GameMode.WITH_REENTRY, count, 1, **settings)
+    policy = EquilibriumPolicy.from_params(params)
+    for round_cap in (0, 2.5, True):
+        with pytest.raises(ParameterError):
+            play_one_game(params, GameMode.WITH_REENTRY, policy, _philox_stream(1, 0), round_cap)
 
 
 def test_two_player_fields_absent_outside_their_domain():
@@ -369,8 +381,8 @@ def test_batched_engine_matches_scalar_distributions(mode):
         params,
         mode,
         _bid_prob_table(params),
-        [np.random.Generator(np.random.Philox(key=4343))],
-        [DIFFERENTIAL_GAMES],
+        np.random.Generator(np.random.Philox(key=4343)),
+        DIFFERENTIAL_GAMES,
         DEFAULT_ROUND_CAP,
     )
     assert not block.truncated.any()
@@ -416,7 +428,7 @@ def test_single_game_block_replays_the_scalar_game(round_cap):
             params, GameMode.WITH_REENTRY, policy, _philox_stream(8, index), round_cap
         )
         block = _play_block(
-            params, GameMode.WITH_REENTRY, table, [_philox_stream(8, index)], [1], round_cap
+            params, GameMode.WITH_REENTRY, table, _philox_stream(8, index), 1, round_cap
         )
         assert block.winner[0] == (-1 if game.winner is None else game.winner)
         assert block.won[0].tolist() == [i == game.winner for i in range(params.n)]
@@ -430,114 +442,63 @@ def test_single_game_block_replays_the_scalar_game(round_cap):
 
 
 # ---------------------------------------------------------------------------
-# Groups of blocks played in one lockstep loop.
+# One block, one stream, one request per lockstep step.
 # ---------------------------------------------------------------------------
 
 class RecordingStream:
-    """A Philox stream that logs (name, what was asked) of every draw."""
+    """A Philox stream that logs what the engine asks of every draw."""
 
-    def __init__(self, name, key, log):
-        self.name, self.log = name, log
+    def __init__(self, key, log):
+        self.log = log
         self.generator = np.random.Generator(np.random.Philox(key=key))
 
     def random(self, *, out):
-        self.log.append((self.name, out.shape))
+        self.log.append(out.shape)
         return self.generator.random(out=out)
 
     def binomial(self, k, p):
-        self.log.append((self.name, tuple(k.tolist())))
+        self.log.append(tuple(k.tolist()))
         return self.generator.binomial(k, p)
-
-
-def games_of(params, block, lo, hi):
-    """Per-game outcome of the games in slots [lo, hi), holdings as sorted lists."""
-    fields = (
-        "revenue", "effective_length", "raw_length", "truncated",
-        "rounds_to_at_most_two", "reached_two_player_state",
-    )
-    games = [{name: getattr(block, name)[slot].item() for name in fields} for slot in range(lo, hi)]
-    for game, slot in zip(games, range(lo, hi)):
-        if block.bid_counts.ndim == 2:  # re-entry: one row per game
-            game["winner"] = block.winner[slot].item()
-            game["bids"] = block.bid_counts[slot].tolist()
-            game["net"] = _net_money(params, block.bid_counts[slot], block.won[slot]).tolist()
-        else:
-            game["holdings"] = holdings_of(params, block, slot)
-            won = block.winner[slot]
-            game["winner"] = None if won < 0 else block.bid_counts[won].item()
-    return games
 
 
 @pytest.mark.parametrize("mode", list(GameMode))
 @pytest.mark.parametrize("round_cap", [4, DEFAULT_ROUND_CAP])
-def test_group_draws_each_block_on_its_own_stream(mode, round_cap):
+def test_block_asks_its_stream_once_per_step(mode, round_cap):
     params = make_params((10.0, 0.0, 1.0), rho=-0.1, n=4)
-    table = _bid_prob_table(params)
-    sizes = [30, 17]
     log = []
-    streams = [RecordingStream(b, 900 + b, log) for b in range(2)]
-    group = _play_block(params, mode, table, streams, sizes, round_cap)
-
-    offset = 0
-    for b, size in enumerate(sizes):
-        alone_log = []
-        alone = _play_block(
-            params, mode, table, [RecordingStream(b, 900 + b, alone_log)], [size], round_cap
-        )
-        assert games_of(params, group, offset, offset + size) == games_of(params, alone, 0, size)
-        # Block b's stream sees the same requests, in the same order, as
-        # when the block plays alone.
-        assert [asked for name, asked in log if name == b] == [asked for _, asked in alone_log]
-        offset += size
-
-    # Step t asks block 0 then block 1, each for its games still
-    # running, i.e. those whose raw length is at least t.
-    raw = group.raw_length
-    bounds = np.cumsum([0, *sizes])
-    expected = []
-    for t in range(1, raw.max() + 1):
-        for b in range(2):
-            running = int((raw[bounds[b]:bounds[b + 1]] >= t).sum())
-            if running:
-                expected.append((b, running))
-    if mode is GameMode.WITH_REENTRY:  # asked for a (games x n) array of uniforms
-        assert [(name, games) for name, (games, n) in log] == expected
-        assert all(n == params.n for _, (_, n) in log)
-    else:  # asked for one bidder count per active count
-        assert [(name, len(counts)) for name, counts in log] == expected
-    assert group.truncated.any() == (round_cap == 4)
-
-
-@pytest.mark.parametrize("mode", list(GameMode))
-def test_grouping_does_not_change_the_result(monkeypatch, mode):
-    # Four blocks, the last one partial.  The bound on a group's
-    # (player, game) entries decides only how many blocks share a loop.
-    count = 3 * BLOCK_SIZE + 500
-    params = make_params((10.0, 0.0, 1.0), rho=-0.1, n=3)
-    results = []
-    for entries in (1, 2 * BLOCK_SIZE * params.n, 10**12):
-        monkeypatch.setattr(simulator, "_GROUP_ENTRIES", entries)
-        results.append(run_replications(params, mode, count, 31, initial_wealth=0.5))
-    assert results[0] == results[1] == results[2]
+    block = _play_block(
+        params, mode, _bid_prob_table(params), RecordingStream(900, log), 47, round_cap
+    )
+    # Step t asks for the games still running, i.e. those whose raw
+    # length is at least t, in slot order.
+    raw = block.raw_length
+    running = [int((raw >= t).sum()) for t in range(1, raw.max() + 1)]
+    if mode is GameMode.WITH_REENTRY:  # a (running x n) array of uniforms
+        assert log == [(games, params.n) for games in running]
+    else:  # one bidder count per running game, asked at its active count
+        assert [len(counts) for counts in log] == running
+        assert all(2 <= k <= params.n for counts in log for k in counts)
+    assert block.truncated.any() == (round_cap == 4)
 
 
 # Frozen results of two small runs of the block stream contract: block b
-# of a run draws from Philox(seed).jumped(b).  A change to which numbers
-# a game draws, or in what order they are used, changes these values.
+# of a run draws from Philox(seed).jumped(b), and a block's size depends
+# only on (mode, n).  A change to which numbers a game draws, or in what
+# order they are used, changes these values.
 PINNED_RUNS = {
     GameMode.WITH_REENTRY: (
         AuctionParams(n=3, value=10.0, sale_price=0.0, bid_fee=1.0, rho=-0.1),
         77,
         {
             "truncated_replications": 0,
-            "mean_revenue": 15.958333333333334,
-            "se_revenue": 0.17379856470126595,
-            "mean_effective_length": 6.972111111111111,
-            "se_effective_length": 0.06902378176950791,
-            "mean_raw_length": 7.083222222222222,
-            "se_raw_length": 0.07024815623314314,
-            "mean_player_utility": 1.7389503484465936,
-            "se_player_utility": 0.04616159726231114,
+            "mean_revenue": 15.955666666666668,
+            "se_revenue": 0.17300798157764413,
+            "mean_effective_length": 6.975444444444444,
+            "se_effective_length": 0.068877084086829,
+            "mean_raw_length": 7.092,
+            "se_raw_length": 0.07020447930032621,
+            "mean_player_utility": 1.730834424804005,
+            "se_player_utility": 0.04610775514228434,
             "two_player_passage_fraction": None,
             "se_two_player_passage_fraction": None,
             "mean_rounds_to_two": None,
@@ -593,7 +554,7 @@ def test_count_block_accounts_for_every_round():
             ([2], [1]),  # game 0 ends
         ],
     )
-    block = _play_block(params, GameMode.NO_REENTRY, table, [script], [3], DEFAULT_ROUND_CAP)
+    block = _play_block(params, GameMode.NO_REENTRY, table, script, 3, DEFAULT_ROUND_CAP)
     assert not script.rounds
     assert block.effective_length.tolist() == [4, 3, 1]
     assert block.raw_length.tolist() == [6, 4, 1]  # 2, 1 and 0 replays
@@ -617,7 +578,7 @@ def test_count_block_truncates_at_the_round_cap():
     params = make_params((100.0, 5.0, 0.5), n=4)
     table = _bid_prob_table(params)
     script = ScriptedBinomials(table, [([4], [3]), ([3], [0]), ([3], [3]), ([3], [2])])
-    block = _play_block(params, GameMode.NO_REENTRY, table, [script], [1], 3)
+    block = _play_block(params, GameMode.NO_REENTRY, table, script, 1, 3)
     assert not script.rounds
     assert block.truncated.tolist() == [True]
     assert block.winner.tolist() == [-1]
@@ -637,8 +598,8 @@ def test_count_block_holdings_cover_the_roster():
         params,
         GameMode.NO_REENTRY,
         _bid_prob_table(params),
-        [_philox_stream(5, 0)],
-        [500],
+        _philox_stream(5, 0),
+        500,
         DEFAULT_ROUND_CAP,
     )
     assert (np.bincount(block.holder, block.players) == params.n).all()
@@ -649,14 +610,17 @@ def test_count_block_holdings_cover_the_roster():
     assert (block.raw_length >= block.effective_length).all()
 
 
-def test_no_reentry_memory_does_not_grow_with_the_roster():
-    # Each game keeps only its active count, so a full block at
-    # n = 10**5 stays small.  A (BLOCK_SIZE x n) array of 8-byte values
-    # alone would take 3.3 GB.
-    params = attrition_params(100_000, 10)
+@pytest.mark.parametrize("mode, n", [(GameMode.NO_REENTRY, 100_000), (GameMode.WITH_REENTRY, 1000)])
+def test_block_memory_does_not_grow_with_the_roster(mode, n):
+    # Without re-entry each game keeps only its active count, so a full
+    # block at n = 10**5 stays small; a (BLOCK_SIZE x n) array of 8-byte
+    # values alone would take 3.3 GB.  With re-entry a block holds at
+    # most BLOCK_SIZE * 64 (player, game) entries, so BLOCK_SIZE games
+    # at n = 1000 are 16 blocks of at most 262 games.
+    params = attrition_params(n, 10)
     tracemalloc.start()
     try:
-        result = run_replications(params, GameMode.NO_REENTRY, BLOCK_SIZE, 3)
+        result = run_replications(params, mode, BLOCK_SIZE, 3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

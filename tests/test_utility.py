@@ -204,6 +204,10 @@ def test_overflow_guard():
         kernel.derivative(701.0)
     with pytest.raises(UtilityRangeError):
         kernel.shift_decompose(701.0, 0.0)
+    # |rho * x| = 100 is inside the guard, but u(x) = expm1(100) / 1e-265
+    # is not a float.
+    with pytest.raises(UtilityRangeError):
+        u(-1e-265).evaluate(1e267)
     # 700 exactly is still inside the guard.
     assert math.isfinite(kernel.evaluate(-700.0))
 

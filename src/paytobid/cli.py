@@ -4,9 +4,16 @@ SETTINGS declares each run setting once.  It drives the flags of every
 subcommand, the coercion of config-file values, the defaults and the
 missing-setting check; a flag wins over the config file, which wins over
 the default.  TABLES holds one TableSpec per subcommand: its trailing
-columns, a row function for a valid grid point and the settings a
-SKIPPED row still reports.  One driver, build_table, walks the sweep
-grid and writes the status, reason and parameter columns of every row.
+columns, a row function that turns a valid grid point into blocks of
+rows and the settings a SKIPPED row still reports.  One driver,
+build_table, walks the sweep grid and adds the status, reason and
+parameter columns to every block.
+
+A table is a list of blocks.  A block maps a column to a scalar, the
+value of that column in every row of the block, or to a list with one
+value per row; a block without a list column is one row, and a missing
+column reads None.  A cell is never a list.  render encodes each scalar
+once per block and each list column in one call.
 
 Every subcommand is a pure function of its configuration and seed:
 rerunning with the same inputs reproduces the output byte for byte.
@@ -200,26 +207,27 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
 
 # ---------------------------------------------------------------------------
 # Subcommands: one row function per table and one driver for all four.
-# A row function returns the values of the trailing columns for each
-# row of a valid grid point; a truthy "reason" marks the row FAILED.
+# A row function returns the trailing columns of a valid grid point as
+# blocks (see the module docstring); a truthy scalar "reason" marks
+# every row of its block FAILED.
 # ---------------------------------------------------------------------------
 
-Row = Dict[str, object]
+Block = Dict[str, object]  # column -> scalar, or list of one cell per row
 
 
-def _equilibrium_rows(cfg: argparse.Namespace, params: AuctionParams) -> List[Row]:
+def _equilibrium_rows(cfg: argparse.Namespace, params: AuctionParams) -> List[Block]:
     policy = EquilibriumPolicy.from_params(params)
-    lam = policy.win_prob
-    return [
-        {"k": k, "bid_probability": p, "win_probability": lam}
-        for k, p in policy.bid_prob.items()
-    ]
+    return [{
+        "k": list(policy.bid_prob),
+        "bid_probability": list(policy.bid_prob.values()),
+        "win_probability": policy.win_prob,
+    }]
 
 
-def _revenue_rows(cfg: argparse.Namespace, params: AuctionParams) -> List[Row]:
+def _revenue_rows(cfg: argparse.Namespace, params: AuctionParams) -> List[Block]:
     breakdown = closed_form_revenue(params)
     series_fee = revenue_series(params, cfg.tol)
-    row: Row = {
+    row: Block = {
         **asdict(breakdown),
         "series_fee": series_fee,
         "series_total": params.sale_price + series_fee,
@@ -229,10 +237,10 @@ def _revenue_rows(cfg: argparse.Namespace, params: AuctionParams) -> List[Row]:
     if abs(row["series_total"] - breakdown.total) > cfg.tol + 1e-9:
         problems.append("series disagrees with closed form")
     if cfg.replications > 0:
-        # The closed form covers the stationary (re-entry) game, so
-        # the cross-check always simulates that mode.
+        # By Wald's identity the closed form is the expected revenue
+        # with and without re-entry, so the configured mode is checked.
         result = run_replications(
-            params, GameMode.WITH_REENTRY, cfg.replications, cfg.seed, cfg.round_cap
+            params, GameMode(cfg.mode), cfg.replications, cfg.seed, cfg.round_cap
         )
         row["mc_mean_revenue"], row["mc_se_revenue"] = result.mean_revenue, result.se_revenue
         if abs(result.mean_revenue - breakdown.total) > 3.0 * result.se_revenue:
@@ -252,9 +260,9 @@ _ATTRITION_MC = {
 }
 
 
-def _attrition_rows(cfg: argparse.Namespace, params: AuctionParams) -> List[Row]:
+def _attrition_rows(cfg: argparse.Namespace, params: AuctionParams) -> List[Block]:
     profile = attrition_profile(params, params.n)
-    row: Row = {
+    row: Block = {
         "expected_rounds_to_one": profile.rounds_to_one,
         "expected_rounds_to_two": profile.rounds_to_two,
         "endgame_time_fraction": (
@@ -273,7 +281,7 @@ def _attrition_rows(cfg: argparse.Namespace, params: AuctionParams) -> List[Row]
     return [row]
 
 
-def _simulate_rows(cfg: argparse.Namespace, params: AuctionParams) -> List[Row]:
+def _simulate_rows(cfg: argparse.Namespace, params: AuctionParams) -> List[Block]:
     result = run_replications(
         params, GameMode(cfg.mode), cfg.replications, cfg.seed, cfg.round_cap,
         initial_wealth=cfg.initial_wealth,
@@ -286,7 +294,7 @@ class TableSpec(NamedTuple):
 
     help: str
     columns: Tuple[str, ...]
-    rows: Callable[[argparse.Namespace, AuctionParams], List[Row]]
+    rows: Callable[[argparse.Namespace, AuctionParams], List[Block]]  # blocks of a valid point
     skipped: Tuple[str, ...] = ()  # settings a SKIPPED row still reports
     needs_replications: bool = False  # refuse the run, even a fully skipped one
 
@@ -325,17 +333,18 @@ TABLES: Dict[str, TableSpec] = {
 
 
 def build_table(name: str, spec: TableSpec, cfg: argparse.Namespace):
-    """(column names, row dicts) of one subcommand over the sweep grid.
+    """(column names, blocks) of one subcommand over the sweep grid.
 
     Swept parameters are crossed in order; an invalid grid point gets a
-    SKIPPED row.  Without a sweep an invalid configuration raises
-    instead, so a single run fails loudly with exit code 2.
+    SKIPPED block of one row.  Status, reason and the parameters are
+    scalars of every block.  Without a sweep an invalid configuration
+    raises instead, so a single run fails loudly with exit code 2.
     """
     if spec.needs_replications and cfg.replications < 1:
         raise ConfigError(f"{name} needs --replications >= 1")
     base = {key: getattr(cfg, key) for key in _PARAM_COLUMNS}
     names = [axis for axis, _ in cfg.sweep]
-    rows = []
+    blocks = []
     for combo in itertools.product(*(points for _, points in cfg.sweep)):
         fields = {**base, **dict(zip(names, combo))}
         try:
@@ -344,17 +353,17 @@ def build_table(name: str, spec: TableSpec, cfg: argparse.Namespace):
             if not cfg.sweep:
                 raise
             skipped = {key: getattr(cfg, key) for key in spec.skipped}
-            rows.append({"status": "SKIPPED", "reason": str(exc), **fields, **skipped})
+            blocks.append({"status": "SKIPPED", "reason": str(exc), **fields, **skipped})
             continue
         for values in spec.rows(cfg, params):
-            row = {"status": "OK", "reason": None, **fields, **values}
-            if row["reason"]:
-                row["status"] = "FAILED"
-            rows.append(row)
-    return ["status", "reason", *_PARAM_COLUMNS, *spec.columns], rows
+            block = {"status": "OK", "reason": None, **fields, **values}
+            if block["reason"]:
+                block["status"] = "FAILED"
+            blocks.append(block)
+    return ["status", "reason", *_PARAM_COLUMNS, *spec.columns], blocks
 
 
-# Subcommand -> callable(cfg) -> (columns, rows).
+# Subcommand -> callable(cfg) -> (columns, blocks).
 COMMANDS = {name: functools.partial(build_table, name, spec) for name, spec in TABLES.items()}
 
 
@@ -370,30 +379,43 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-# A comma, then the newline and indent that json.dumps(..., indent=2)
-# puts before each item of a row.
-_ITEM_SEP = ",\n      "
+def _json_column(values: list) -> List[str]:
+    # An encoded cell holds no raw newline, so "\n" splits the items.
+    return json.dumps(values, separators=("\n", ": "))[1:-1].split("\n") if values else []
 
 
-def render(command: str, columns: List[str], rows: List[Dict[str, object]], fmt: str) -> str:
+def _csv_column(values: list) -> List[str]:
+    return [_csv_cell(v) for v in values]
+
+
+def _encoded_rows(columns, blocks, encode):
+    """The encoded cells of each row, block by block; encode maps a list
+    of cells to their texts."""
+    for block in blocks:
+        cells = [block.get(c) for c in columns]
+        size = next((len(v) for v in cells if isinstance(v, list)), 1)
+        yield from zip(
+            *(encode(v) if isinstance(v, list) else encode([v]) * size for v in cells),
+            strict=True,
+        )
+
+
+def render(command: str, columns: List[str], blocks: List[Block], fmt: str) -> str:
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_csv_cell(row.get(c)) for c in columns])
+        writer.writerows(_encoded_rows(columns, blocks, _csv_column))
         return buf.getvalue()
     # The text of json.dumps({"command": ..., "rows": ...}, indent=2) + "\n",
-    # encoded by the C encoder, which json.dumps bypasses once indent is
-    # set.  Cells are scalars and columns is never empty, and an encoded
-    # string holds no raw newline, so "}" + _ITEM_SEP + "{" occurs only
-    # between two rows, where indent=2 closes one row and opens the next.
-    flat = json.dumps(
-        [{c: row.get(c) for c in columns} for row in rows], separators=(_ITEM_SEP, ": ")
-    )
-    body = flat[2:-2].replace("}" + _ITEM_SEP + "{", "\n    },\n    {\n      ")
-    table = f"[\n    {{\n      {body}\n    }}\n  ]" if rows else "[]"
-    return f'{{\n  "command": {json.dumps(command)},\n  "rows": {table}\n}}\n'
+    # with the cells encoded by the C encoder, which json.dumps bypasses
+    # once indent is set.
+    template = "    {\n" + ",\n".join(
+        f"      {json.dumps(c).replace('%', '%%')}: %s" for c in columns
+    ) + "\n    }"
+    body = ",\n".join(template % cells for cells in _encoded_rows(columns, blocks, _json_column))
+    head = f'{{\n  "command": {json.dumps(command)},\n  "rows": '
+    return f"{head}[\n{body}\n  ]\n}}\n" if body else f"{head}[]\n}}\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -418,8 +440,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
-        columns, rows = COMMANDS[args.command](cfg)
-        text = render(args.command, columns, rows, cfg.format)
+        columns, blocks = COMMANDS[args.command](cfg)
+        text = render(args.command, columns, blocks, cfg.format)
     except (ConfigError, ParameterError, RiskCoefficientError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,6 +18,7 @@ from mpmath import mp, mpf
 import paytobid.cli as cli
 from paytobid import (
     AuctionParams,
+    EquilibriumPolicy,
     SimulationResult,
     bid_probability,
     closed_form_revenue,
@@ -170,6 +171,21 @@ def test_revenue_monte_carlo_column(capsys):
     assert row["status"] == "OK"
     assert row["replications"] == 3000
     assert abs(row["mc_mean_revenue"] - 10.0) <= 3.0 * row["mc_se_revenue"]
+
+
+def test_revenue_monte_carlo_column_simulates_the_configured_mode(capsys):
+    """By Wald's identity the closed form holds without re-entry too."""
+    argv = ["--n", "10", *BASE[2:], "--rho=-0.1", "--mode", "no-reentry",
+            "--replications", "3000", "--seed", "1018"]
+    code, out, _ = run_cli(capsys, ["revenue", *argv])
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert row["status"] == "OK"
+    assert abs(row["mc_mean_revenue"] - row["total"]) <= 3.0 * row["mc_se_revenue"]
+    code, out, _ = run_cli(capsys, ["simulate", *argv])
+    assert code == 0
+    (sim,) = json.loads(out)["rows"]
+    assert (row["mc_mean_revenue"], row["mc_se_revenue"]) == (sim["mean_revenue"], sim["se_revenue"])
 
 
 def test_revenue_marked_failed_when_checks_break(capsys, monkeypatch):
@@ -590,11 +606,27 @@ json_cells = st.one_of(
 
 @st.composite
 def tables(draw):
+    """Columns and blocks: a block holds each of its columns as a scalar
+    or as a list of one cell per row, 0 to 4 rows long."""
     columns = draw(st.lists(json_text, min_size=1, max_size=4, unique=True))
-    rows = draw(
-        st.lists(st.dictionaries(st.sampled_from(columns), json_cells), max_size=4)
-    )
-    return columns, rows
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        size = draw(st.integers(0, 4))
+        column_list = st.lists(json_cells, min_size=size, max_size=size)
+        picked = draw(st.lists(st.sampled_from(columns), unique=True))
+        blocks.append({c: draw(st.one_of(json_cells, column_list)) for c in picked})
+    return columns, blocks
+
+
+def expand(columns, blocks):
+    """The rows a list of blocks stands for, one dict per row."""
+    rows = []
+    for block in blocks:
+        sizes = [len(v) for v in block.values() if isinstance(v, list)]
+        for i in range(sizes[0] if sizes else 1):
+            cells = {c: block.get(c) for c in columns}
+            rows.append({c: v[i] if isinstance(v, list) else v for c, v in cells.items()})
+    return rows
 
 
 @settings(max_examples=300)
@@ -602,10 +634,61 @@ def tables(draw):
 @example("equilibrium", (["k"], []))
 @example("revenue", (["k"], [{"k": 1}]))
 @example("simulate", (["k"], [{"k": "},\n      {"}, {}]))
+@example("equilibrium", (["%s", "a%%b", "%"], [{"%s": [1, "%s"], "a%%b": "%d"}, {"%": []}]))
 def test_json_render_matches_indented_dumps(command, table):
-    columns, rows = table
-    payload = {"command": command, "rows": [{c: row.get(c) for c in columns} for row in rows]}
-    assert cli.render(command, columns, rows, "json") == json.dumps(payload, indent=2) + "\n"
+    columns, blocks = table
+    payload = {"command": command, "rows": expand(columns, blocks)}
+    assert cli.render(command, columns, blocks, "json") == json.dumps(payload, indent=2) + "\n"
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(list(cli.TABLES)), tables())
+@example("equilibrium", (["k"], []))
+@example("equilibrium", (["%s", "a,b"], [{"%s": [1, "x\ny"], "a,b": '"'}, {"%s": []}]))
+def test_csv_render_matches_csv_writer(command, table):
+    columns, blocks = table
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in expand(columns, blocks):
+        writer.writerow([cli._csv_cell(row[c]) for c in columns])
+    assert cli.render(command, columns, blocks, "csv") == buf.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("lists", [([1, 2], [3]), ([1], [2, 3]), ([], [1]), ([1], [])])
+def test_list_columns_of_unequal_length_raise(fmt, lists):
+    block = {"a": lists[0], "b": "scalar", "c": lists[1]}
+    with pytest.raises(ValueError):
+        cli.render("equilibrium", ["a", "b", "c"], [block], fmt)
+
+
+def equilibrium_table_of(n):
+    """Columns and rows of `equilibrium` at (n, 10, 0, 1, 0), from the policy."""
+    policy = EquilibriumPolicy.from_params(make_params((10.0, 0.0, 1.0), n=n))
+    fixed = {"status": "OK", "reason": None, "n": n, "value": 10.0, "sale_price": 0.0,
+             "bid_fee": 1.0, "rho": 0.0}
+    rows = [{**fixed, "k": k, "bid_probability": p, "win_probability": policy.win_prob}
+            for k, p in policy.bid_prob.items()]
+    return list(rows[0]), rows
+
+
+def test_long_equilibrium_table_is_byte_identical_to_json_dumps(capsys):
+    _, rows = equilibrium_table_of(3000)
+    code, out, err = run_cli(capsys, ["equilibrium", "--n", "3000", *BASE[2:]])
+    assert (code, err) == (0, "")
+    assert out == json.dumps({"command": "equilibrium", "rows": rows}, indent=2) + "\n"
+
+
+def test_long_equilibrium_csv_is_byte_identical_to_csv_writer(capsys):
+    columns, rows = equilibrium_table_of(3000)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([cli._csv_cell(row[c]) for c in columns] for row in rows)
+    code, out, err = run_cli(capsys, ["equilibrium", "--n", "3000", *BASE[2:], "--format", "csv"])
+    assert (code, err) == (0, "")
+    assert out == buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

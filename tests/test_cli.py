@@ -641,18 +641,23 @@ def test_json_render_matches_indented_dumps(command, table):
     assert cli.render(command, columns, blocks, "json") == json.dumps(payload, indent=2) + "\n"
 
 
+def csv_writer_text(columns, rows):
+    """csv.writer's text of a header and rows, each cell as _csv_cell writes it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([cli._csv_cell(row[c]) for c in columns] for row in rows)
+    return buf.getvalue()
+
+
 @settings(max_examples=300)
 @given(st.sampled_from(list(cli.TABLES)), tables())
 @example("equilibrium", (["k"], []))
 @example("equilibrium", (["%s", "a,b"], [{"%s": [1, "x\ny"], "a,b": '"'}, {"%s": []}]))
 def test_csv_render_matches_csv_writer(command, table):
     columns, blocks = table
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in expand(columns, blocks):
-        writer.writerow([cli._csv_cell(row[c]) for c in columns])
-    assert cli.render(command, columns, blocks, "csv") == buf.getvalue()
+    expected = csv_writer_text(columns, expand(columns, blocks))
+    assert cli.render(command, columns, blocks, "csv") == expected
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -682,13 +687,9 @@ def test_long_equilibrium_table_is_byte_identical_to_json_dumps(capsys):
 
 def test_long_equilibrium_csv_is_byte_identical_to_csv_writer(capsys):
     columns, rows = equilibrium_table_of(3000)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows([cli._csv_cell(row[c]) for c in columns] for row in rows)
     code, out, err = run_cli(capsys, ["equilibrium", "--n", "3000", *BASE[2:], "--format", "csv"])
     assert (code, err) == (0, "")
-    assert out == buf.getvalue()
+    assert out == csv_writer_text(columns, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,12 @@ risk-loving (CARL) bidders, cross-validated by an exact Monte Carlo
 simulator of the round-based game.
 
 The names of ``attrition`` and ``simulator`` load on first use (PEP
-562).  The chain and the Monte Carlo need numpy, whose import costs a
-process about 0.18 s, while the closed forms of ``equilibrium`` and
-``revenue`` are scalar arithmetic: importing the package, or running
-``paytobid equilibrium`` or ``paytobid revenue`` without Monte Carlo
-replications, loads neither.
+562).  Only the Monte Carlo needs numpy, whose import costs a process
+about 0.18 s; the closed forms and the attrition chain are scalar
+arithmetic, so ``paytobid equilibrium``, ``revenue`` and ``attrition``
+without Monte Carlo replications never load it.  Importing the package
+loads neither submodule, which also spares a process that runs without
+bytecode the compiling of ``attrition``.
 """
 
 from .equilibrium import (

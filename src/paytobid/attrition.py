@@ -17,14 +17,29 @@ forward substitution.  Rows are built in log space from lgamma, and
 the self-loop complement 1 - T[k, k] is summed from the row's other
 entries, so nothing overflows at large k and nothing cancels when
 T[k, k] is close to 1.
+
+A row's mass lies within a few dozen bidder counts of its mode, which
+sits near -ln(lambda) whatever k is, so the solve builds a row only as
+far as a double can see it.  Row k keeps every m up to the mode, and
+m = 1 (the hazard) and m = 2 (the funnel) always; above the mode it
+keeps each m while T[k, m] is at least 2**-64 of T[k, mode].  When
+that walk reaches k - 1 the whole row is kept, T[k, k] included;
+otherwise T[k, k] is left out with the rest of the tail, which the
+solve never reads, since the complement is summed from m < k.  The
+entries dropped are each below 2**-64 of the mode and shrink
+geometrically past it.  The probabilities they multiply are at most 1,
+and an expectation grows by at most 1 / (1 - T[k, k]) per state:
+x[k] <= max over m < k of x[m], plus 1 / (1 - T[k, k]).  So dropping
+them moves no figure by more than its rounding, and every sum is taken
+with math.fsum.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator, NamedTuple, Optional, Tuple
-
-import numpy as np
+import operator
+from itertools import islice, takewhile
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence
 
 from .equilibrium import (
     AuctionParams,
@@ -34,58 +49,89 @@ from .equilibrium import (
     win_probability,
 )
 
+# A row entry this far below the row's mode, in log units, is below
+# 2**-64 of it.
+_LOG_WINDOW = 64.0 * math.log(2.0)
 
-def _transition_rows(params: AuctionParams, ks: range) -> Iterator[np.ndarray]:
-    """Row k of the chain for each k in ks: entry m - 1 holds T[k, m]."""
+
+def _transition_rows(
+    params: AuctionParams, ks: range, window: float = _LOG_WINDOW
+) -> Iterator[List[float]]:
+    """Row k of the chain for each k in ks: entry m - 1 holds T[k, m].
+
+    The row keeps m = 1 up to the mode and m = 2, then each m above
+    them while its log term is within window of the mode's.  A walk
+    that reaches k - 1 keeps T[k, k] too, so a window of math.inf keeps
+    every row whole.
+    """
     log_lam = math.log(win_probability(params))
-    log_fact = np.array([math.lgamma(i + 1.0) for i in range(ks[-1] + 1)])
+    log_fact = [math.lgamma(i + 1.0) for i in range(ks[-1] + 1)]
     for k in ks:
-        m = np.arange(1, k + 1)
         odds = round_odds(log_lam, k)  # busy = 1 - q**k is the replay normaliser
-        yield np.exp(
-            log_fact[k] - log_fact[m] - log_fact[k - m]
-            + m * math.log(odds.bid) + (k - m) * odds.log_q - math.log(odds.busy)
-        )
+        # log T[k, m] = log C(k, m) + m log(1 - q) + (k - m) log q - log busy
+        base = log_fact[k] + k * odds.log_q - math.log(odds.busy)
+        slope = math.log(odds.bid) - odds.log_q
+        terms = (base - log_fact[k - m] - log_fact[m] + m * slope for m in range(1, k + 1))
+        mode = min(max(int((k + 1) * odds.bid), 1), k - 1)
+        logs = list(islice(terms, min(max(mode, 2), k - 1)))
+        # The walk takes the first term below the floor from the generator
+        # and drops it; the terms past it are never built.
+        logs += takewhile((logs[mode - 1] - window).__le__, islice(terms, k - 1 - len(logs)))
+        if len(logs) == k - 1:
+            logs.append(next(terms))
+        yield list(map(math.exp, logs))
 
 
 def _solve(
     params: AuctionParams,
     n: int,
-    reward: Callable[[int, np.ndarray], object],
-    shape: Tuple[int, ...] = (),
-) -> np.ndarray:
-    """x[k] for k = 0..n solving x[k] = r[k] + sum_m T[k, m] x[m].
+    reward: Callable[[int, List[float]], Sequence[float]],
+) -> List[float]:
+    """x[n], one entry per reward column, solving x[k] = r[k] + sum_m T[k, m] x[m].
 
-    reward(k, row) gives r[k] from row k of T.  x is 0 on the ended
-    game (k <= 1), and a state whose reward is 0 and that leads only to
-    such states solves to 0, which is how a caller makes the states at
-    or below its target absorbing.  Holds O(n * prod(shape)) floats.
-    Raises FloatingPointError when an expectation overflows the float
-    range, as it does once leaving some state is less likely than 1e-308.
+    reward(k, row) gives the columns of r[k] from row k of T, as
+    _transition_rows builds it.  x is 0 on the ended game (k <= 1), and
+    a state whose reward is 0 and that leads only to such states solves
+    to 0, which is how a caller makes the states at or below its target
+    absorbing.  Holds O(n * columns) floats.  Raises FloatingPointError
+    when an expectation overflows the float range, as it does once
+    leaving some state is less likely than 1e-308.
     """
-    x = np.zeros((n + 1, *shape))
+    columns: List[List[float]] = []  # column j holds x[2], x[3], ... of reward j
     ks = range(2, n + 1)
-    with np.errstate(over="raise"):
-        for k, row in zip(ks, _transition_rows(params, ks)):
-            x[k] = (reward(k, row) + row[1 : k - 1] @ x[2:k]) / row[: k - 1].sum()
-    return x
+    for k, row in zip(ks, _transition_rows(params, ks)):
+        rewards = reward(k, row)
+        if k == 2:
+            columns = [[] for _ in rewards]
+        leave = math.fsum(row[: k - 1])
+        moves = row[1 : k - 1]  # T[k, m] for 2 <= m < k, as far as the row reaches
+        for x, r in zip(columns, rewards):
+            total = r + math.fsum(map(operator.mul, moves, x))
+            x.append(total / leave if leave else math.inf)
+            if not math.isfinite(x[-1]):
+                raise FloatingPointError(
+                    f"overflow: an expectation of the chain from {k} players passes the "
+                    f"float range; leaving that state has chance {leave!r}"
+                )
+    return [x[-1] for x in columns]
 
 
-def _funnel_reward(k: int, row: np.ndarray) -> float:
+def _funnel_reward(k: int, row: List[float]) -> float:
     """One-step chance of landing on exactly two players, from k >= 3."""
-    return float(row[1]) if k >= 3 else 0.0
+    return row[1] if k >= 3 else 0.0
 
 
-def bid_count_distribution(params: AuctionParams, k: int) -> np.ndarray:
+def bid_count_distribution(params: AuctionParams, k: int) -> List[float]:
     """Distribution of the number of bidders in an effective round.
 
     Entry m-1 holds P(m bidders) = C(k, m) (1-q)**m q**(k-m) / (1 - q**k)
     for m = 1..k, with q the per-player exit probability; the zero-bid
     outcome is conditioned away by the replay rule.  Entry 0 is the
     chance the round ends the game, the revenue module's hazard rate.
+    The row is whole: all k entries, however small.
     """
     require_active_count(k)
-    return next(_transition_rows(params, range(k, k + 1)))
+    return next(_transition_rows(params, range(k, k + 1), window=math.inf))
 
 
 def expected_passage_time(params: AuctionParams, n_players: int, target: int) -> float:
@@ -97,7 +143,8 @@ def expected_passage_time(params: AuctionParams, n_players: int, target: int) ->
     """
     require_count(target, 1, "target player count must be an integer >= 1, got {!r}")
     require_count(n_players, 2, "starting player count must be an integer >= 2, got {!r}")
-    return float(_solve(params, n_players, lambda k, row: float(k > target))[n_players])
+    (length,) = _solve(params, n_players, lambda k, row: (float(k > target),))
+    return length
 
 
 def prob_two_player_endgame(params: AuctionParams, n_players: int) -> float:
@@ -111,7 +158,8 @@ def prob_two_player_endgame(params: AuctionParams, n_players: int) -> float:
     require_count(
         n_players, 3, "two-player endgame requires a start of at least 3 players, got {!r}"
     )
-    return float(_solve(params, n_players, _funnel_reward)[n_players])
+    (funnel,) = _solve(params, n_players, lambda k, row: (_funnel_reward(k, row),))
+    return funnel
 
 
 class AttritionProfile(NamedTuple):
@@ -131,14 +179,9 @@ def attrition_profile(params: AuctionParams, n_players: int) -> AttritionProfile
     """
     require_count(n_players, 2, "starting player count must be an integer >= 2, got {!r}")
     rounds_to_one, rounds_to_two, funnel = _solve(
-        params,
-        n_players,
-        lambda k, row: (1.0, float(k > 2), _funnel_reward(k, row)),
-        shape=(3,),
-    )[n_players]
-    return AttritionProfile(
-        float(rounds_to_one), float(rounds_to_two), float(funnel) if n_players >= 3 else None
+        params, n_players, lambda k, row: (1.0, float(k > 2), _funnel_reward(k, row))
     )
+    return AttritionProfile(rounds_to_one, rounds_to_two, funnel if n_players >= 3 else None)
 
 
 def endgame_time_fraction(params: AuctionParams, n_players: int) -> float:

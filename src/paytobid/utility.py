@@ -107,9 +107,10 @@ class CarlUtility:
 
         The shift factor exp(-rho*w) equals the marginal utility at w,
         so a deterministic wealth shift rescales incremental utility
-        without mixing into the base term.  Agrees with evaluate(w + x)
-        to within 1e-12 relative error for |rho| <= 1 and amounts in
-        [-10, 10]; the two terms cancel at scale exp(|rho*w|), so the
-        achievable precision degrades outside that envelope.
+        without mixing into the base term.  For |rho| <= 1 and amounts in
+        [-10, 10] it agrees with evaluate(w + x) to within 1e-13 of the
+        term scale |u(w)| + exp(-rho*w)*|u(x)|, the size of the rounding
+        a sum of those two terms carries.  Where the terms cancel, the
+        error relative to the result itself can be far larger.
         """
         return self.evaluate(w) + self.derivative(w) * self.evaluate(x)

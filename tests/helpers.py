@@ -1,10 +1,14 @@
-"""Shared grids, seeds and oracle helpers for the test suite.
+"""Shared grids, seeds, strategies and oracle helpers for the test suite.
 
 Simulation configurations used in more than one test module are pinned
 here so the session-wide Monte Carlo cache (see conftest) can reuse the
 runs: identical (params, mode, count, seed) keys hit the same entry.
 """
 
+import math
+
+from hypothesis import assume
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from paytobid import AuctionParams, hazard_rate
@@ -74,6 +78,40 @@ SUBGAME_SEEDS = {(0.0, "reentry"): 61, (5.0, "reentry"): 62,
 
 
 # ---------------------------------------------------------------------------
+# The valid domain: n >= 2, 0 < c < v - s, rho <= 0.
+# ---------------------------------------------------------------------------
+
+def log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+@st.composite
+def domain_points(draw):
+    """Flags of a valid point: log-uniform magnitudes, c near 0 or near v - s.
+
+    rho is drawn through rho * (v - s), the curvature of the utility over
+    the prize, so every scale of the prize meets every degree of risk love.
+    """
+    n = round(draw(log_uniform(math.log10(2), 3)))
+    sale_price = draw(st.one_of(st.just(0.0), log_uniform(-300, 300)))
+    value = sale_price + draw(log_uniform(-300, 300))
+    room = value - sale_price
+    assume(math.isfinite(value) and room > 0.0)
+    fee = draw(
+        st.one_of(
+            log_uniform(-330, 0).map(lambda share: room * share),
+            log_uniform(-17, 0).map(lambda gap: room * (1.0 - gap)),
+            st.integers(1, 4).map(lambda ulps: room - ulps * math.ulp(room)),
+        )
+    )
+    rho = draw(st.one_of(st.just(0.0), log_uniform(-8, 3).map(lambda t: -t / room)))
+    assume(0.0 < fee < room)
+    AuctionParams(n=n, value=value, sale_price=sale_price, bid_fee=fee, rho=rho)
+    return [f"--n={n}", f"--value={value!r}", f"--sale-price={sale_price!r}",
+            f"--bid-fee={fee!r}", f"--rho={rho!r}"]
+
+
+# ---------------------------------------------------------------------------
 # Independent oracles.
 # ---------------------------------------------------------------------------
 
@@ -109,3 +147,31 @@ def enumerate_two_player_round(p):
 def three_se_apart(mean_a, se_a, value_b):
     """True when value_b lies outside mean_a +/- 3 standard errors."""
     return abs(mean_a - value_b) > 3.0 * se_a
+
+
+def mp_attrition_chain(params, dps=40):
+    """Rounds to one, rounds to two and the two-player funnel from params.n players.
+
+    The whole no-re-entry chain in dps-digit arithmetic: the win ratio
+    u(c) / u(v - s), then every row from m = 1 to k, each a binomial law
+    conditioned on at least one bid, solved by forward substitution.
+    """
+    n = params.n
+    with mp.workdps(dps):
+        rho = mpf(params.rho)
+        u = (lambda x: x) if rho == 0 else (lambda x: mp.expm1(-rho * x) / -rho)
+        lam = u(mpf(params.bid_fee)) / u(mpf(params.value) - mpf(params.sale_price))
+        one, two, funnel = ([mpf(0)] * 2 for _ in range(3))  # x[0] = x[1] = 0
+        for k in range(2, n + 1):
+            q = lam ** (mpf(1) / (k - 1))
+            ratio = (1 - q) / q
+            term = k * (1 - q) * q ** (k - 1) / (1 - q**k)  # T[k, 1]
+            row = [term]
+            for m in range(2, k + 1):
+                term = term * (k - m + 1) / m * ratio
+                row.append(term)
+            leave = mp.fsum(row[: k - 1])
+            moves = row[1 : k - 1]
+            for x, r in ((one, 1), (two, int(k > 2)), (funnel, row[1] if k >= 3 else 0)):
+                x.append((r + mp.fdot(moves, x[2:k])) / leave)
+        return one[n], two[n], funnel[n]

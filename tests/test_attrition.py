@@ -1,8 +1,10 @@
 """Attrition DP: bidder-count distribution, passage times, endgame funnel."""
 
 import math
+import operator
 
 import pytest
+from hypothesis import assume, given, settings
 from mpmath import mp, mpf
 
 from paytobid import (
@@ -24,8 +26,10 @@ from helpers import (
     MC_COUNT,
     attrition_params,
     attrition_seed,
+    domain_points,
     enumerate_two_player_round,
     make_params,
+    mp_attrition_chain,
 )
 
 LADDER = [10.0, 100.0, 1000.0]
@@ -71,9 +75,9 @@ def test_distribution_matches_two_player_enumeration():
 @pytest.mark.parametrize("k", range(2, 11))
 def test_distribution_normalized(money, rho, k):
     dist = bid_count_distribution(make_params(money, rho=rho, n=10), k)
-    assert dist.shape == (k,)
-    assert abs(float(dist.sum()) - 1.0) <= 1e-12
-    assert (dist >= 0).all()
+    assert len(dist) == k
+    assert abs(math.fsum(dist) - 1.0) <= 1e-12
+    assert all(x >= 0 for x in dist)
 
 
 def test_distribution_concentrates_on_everyone_bidding():
@@ -223,6 +227,56 @@ def test_profile_matches_the_pointwise_ops(n, ratio):
         )
     else:
         assert profile.two_player_endgame_prob is None
+
+
+@pytest.mark.parametrize("ratio", [1.01, 10.0, 1e3, 1e6])
+@pytest.mark.parametrize("n", [3, 50, 300])
+def test_profile_matches_a_40_digit_chain(n, ratio):
+    params = ladder_params(ratio, n)
+    for got, exact in zip(attrition_profile(params, n), mp_attrition_chain(params)):
+        assert abs(got - exact) <= 1e-12 * abs(exact), (got, exact)
+
+
+def whole_row_profile(params):
+    """The profile's three figures from every entry of every row, or None on overflow."""
+    n = params.n
+    one, two, funnel = ([0.0, 0.0] for _ in range(3))  # x[0] = x[1] = 0
+    for k in range(2, n + 1):
+        row = bid_count_distribution(params, k)
+        leave = math.fsum(row[: k - 1])
+        for x, r in ((one, 1.0), (two, float(k > 2)), (funnel, row[1] if k >= 3 else 0.0)):
+            total = r + math.fsum(map(operator.mul, row[1 : k - 1], x[2:k]))
+            x.append(total / leave if leave else math.inf)
+            if not math.isfinite(x[-1]):
+                return None
+    return one[n], two[n], funnel[n] if n >= 3 else None
+
+
+@settings(max_examples=50, deadline=None)
+@given(domain_points())
+def test_windowed_rows_solve_as_whole_rows(flags):
+    values = dict(flag[2:].split("=", 1) for flag in flags)
+    params = AuctionParams(
+        n=int(values["n"]), value=float(values["value"]),
+        sale_price=float(values["sale-price"]), bid_fee=float(values["bid-fee"]),
+        rho=float(values["rho"]),
+    )
+    assume(params.n <= 400)
+    try:
+        expected = whole_row_profile(params)
+    except (ArithmeticError, ValueError) as exc:  # lambda out of reach: both refuse
+        with pytest.raises(type(exc)):
+            attrition_profile(params, params.n)
+        return
+    if expected is None:
+        with pytest.raises(FloatingPointError, match="overflow"):
+            attrition_profile(params, params.n)
+        return
+    got = attrition_profile(params, params.n)
+    assert (got.two_player_endgame_prob is None) == (expected[2] is None)
+    for value, reference in zip(got, expected):
+        if reference is not None:
+            assert abs(value - reference) <= 1e-12 * abs(reference), (value, reference)
 
 
 def test_profile_requires_two_players():

@@ -11,7 +11,7 @@ import sys
 from datetime import timedelta
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -26,7 +26,7 @@ from paytobid import (
 )
 from paytobid.cli import main
 
-from helpers import make_params
+from helpers import domain_points, make_params
 
 BASE = ["--n", "3", "--value", "10", "--sale-price", "0", "--bid-fee", "1"]
 
@@ -520,12 +520,13 @@ def test_cli_import_leaves_the_process_pool_out():
     [
         (["equilibrium"], {"k": 4}),
         (["revenue", "--replications", "0"], {"status": "OK", "replications": 0}),
+        (["attrition", "--replications", "0"], {"status": "OK", "replications": 0}),
     ],
-    ids=["equilibrium", "revenue"],
+    ids=["equilibrium", "revenue", "attrition"],
 )
 def test_closed_forms_run_without_numpy(argv, last_row):
-    # The closed forms are scalar arithmetic, and numpy's import alone
-    # costs a process about 0.18 s.
+    # The closed forms and the attrition chain are scalar arithmetic, and
+    # numpy's import alone costs a process about 0.18 s.
     argv = [*argv, "--n", "4", "--value", "10", "--bid-fee", "1", "--rho=-0.1"]
     proc = subprocess.run(
         [
@@ -695,36 +696,6 @@ def test_long_equilibrium_csv_is_byte_identical_to_csv_writer(capsys):
 # ---------------------------------------------------------------------------
 # the valid domain: n >= 2, 0 < c < v - s, rho <= 0
 # ---------------------------------------------------------------------------
-
-def log_uniform(lo_exp, hi_exp):
-    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
-
-
-@st.composite
-def domain_points(draw):
-    """Flags of a valid point: log-uniform magnitudes, c near 0 or near v - s.
-
-    rho is drawn through rho * (v - s), the curvature of the utility over
-    the prize, so every scale of the prize meets every degree of risk love.
-    """
-    n = round(draw(log_uniform(math.log10(2), 3)))
-    sale_price = draw(st.one_of(st.just(0.0), log_uniform(-300, 300)))
-    value = sale_price + draw(log_uniform(-300, 300))
-    room = value - sale_price
-    assume(math.isfinite(value) and room > 0.0)
-    fee = draw(
-        st.one_of(
-            log_uniform(-330, 0).map(lambda share: room * share),
-            log_uniform(-17, 0).map(lambda gap: room * (1.0 - gap)),
-            st.integers(1, 4).map(lambda ulps: room - ulps * math.ulp(room)),
-        )
-    )
-    rho = draw(st.one_of(st.just(0.0), log_uniform(-8, 3).map(lambda t: -t / room)))
-    assume(0.0 < fee < room)
-    AuctionParams(n=n, value=value, sale_price=sale_price, bid_fee=fee, rho=rho)
-    return [f"--n={n}", f"--value={value!r}", f"--sale-price={sale_price!r}",
-            f"--bid-fee={fee!r}", f"--rho={rho!r}"]
-
 
 # simulate is left out: its raw-round budget bounds the replays, but a
 # game may still bid on to its round cap of 10^7 effective rounds.

@@ -116,11 +116,6 @@ def _solve(
     return [x[-1] for x in columns]
 
 
-def _funnel_reward(k: int, row: List[float]) -> float:
-    """One-step chance of landing on exactly two players, from k >= 3."""
-    return row[1] if k >= 3 else 0.0
-
-
 def bid_count_distribution(params: AuctionParams, k: int) -> List[float]:
     """Distribution of the number of bidders in an effective round.
 
@@ -153,13 +148,14 @@ def prob_two_player_endgame(params: AuctionParams, n_players: int) -> float:
     Solves P(k) = [P(Z=2) + sum_{3<=j<k} P(Z=j) P(j)] / (1 - P(Z=k))
     ascending in k, where Z is the bidder count of an effective round.
     Requires n_players >= 3; with two starting players the event is
-    vacuous.
+    vacuous.  Read from attrition_profile, so it raises FloatingPointError
+    where the profile's expected lengths overflow (lambda below about
+    1e-308), though the funnel itself is at most 1.
     """
     require_count(
         n_players, 3, "two-player endgame requires a start of at least 3 players, got {!r}"
     )
-    (funnel,) = _solve(params, n_players, lambda k, row: (_funnel_reward(k, row),))
-    return funnel
+    return attrition_profile(params, n_players).two_player_endgame_prob
 
 
 class AttritionProfile(NamedTuple):
@@ -169,17 +165,25 @@ class AttritionProfile(NamedTuple):
     rounds_to_two: float
     two_player_endgame_prob: Optional[float]  # None below three players
 
+    @property
+    def endgame_time_fraction(self) -> Optional[float]:
+        """rounds_to_two / rounds_to_one; None below three players."""
+        if self.two_player_endgame_prob is None:
+            return None
+        return self.rounds_to_two / self.rounds_to_one
+
 
 def attrition_profile(params: AuctionParams, n_players: int) -> AttritionProfile:
     """Rounds to <= 1 and <= 2 players, and the funnel, for one start.
 
-    Equals expected_passage_time at targets 1 and 2 and
-    prob_two_player_endgame, but solves the chain once with a
-    three-column reward instead of once per figure.
+    Equals expected_passage_time at targets 1 and 2, and solves the
+    chain once with a three-column reward instead of once per figure.
+    The funnel's reward is the one-step chance of landing on exactly two
+    players, from k >= 3.
     """
     require_count(n_players, 2, "starting player count must be an integer >= 2, got {!r}")
     rounds_to_one, rounds_to_two, funnel = _solve(
-        params, n_players, lambda k, row: (1.0, float(k > 2), _funnel_reward(k, row))
+        params, n_players, lambda k, row: (1.0, float(k > 2), row[1] if k > 2 else 0.0)
     )
     return AttritionProfile(rounds_to_one, rounds_to_two, funnel if n_players >= 3 else None)
 
@@ -194,5 +198,4 @@ def endgame_time_fraction(params: AuctionParams, n_players: int) -> float:
     require_count(
         n_players, 3, "endgame fraction requires a start of at least 3 players, got {!r}"
     )
-    profile = attrition_profile(params, n_players)
-    return profile.rounds_to_two / profile.rounds_to_one
+    return attrition_profile(params, n_players).endgame_time_fraction

@@ -136,6 +136,8 @@ def _coerce(key: str, raw) -> object:
     if key not in SETTINGS:
         raise ConfigError(f"unknown config key {key!r}")
     kind = SETTINGS[key].type
+    if isinstance(raw, bool):  # a JSON true/false; bool is an int subclass
+        raise ConfigError(f"config key {key!r}: {raw!r} is not a {kind.__name__}")
     try:
         if kind is int and isinstance(raw, float) and not raw.is_integer():
             raise ValueError(f"{raw!r} is not an integer")
@@ -266,9 +268,7 @@ def _attrition_rows(cfg: argparse.Namespace, params: AuctionParams) -> List[Bloc
     row: Block = {
         "expected_rounds_to_one": profile.rounds_to_one,
         "expected_rounds_to_two": profile.rounds_to_two,
-        "endgame_time_fraction": (
-            profile.rounds_to_two / profile.rounds_to_one if params.n >= 3 else None
-        ),
+        "endgame_time_fraction": profile.endgame_time_fraction,
         "two_player_endgame_prob": profile.two_player_endgame_prob,
         "replications": cfg.replications,
     }
@@ -448,7 +448,8 @@ def main(argv=None) -> int:
         return 2
     except ArithmeticError as exc:
         # SeriesLengthError, UtilityRangeError, RawRoundBudgetError, and
-        # the FloatingPointError of the attrition chain.
+        # the FloatingPointError of the attrition chain or of the Monte
+        # Carlo utility estimate.
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     try:

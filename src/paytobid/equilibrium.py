@@ -59,10 +59,7 @@ class AuctionParams:
     rho: float = 0.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise ParameterError(f"player count n must be an integer, got {self.n!r}")
-        if self.n < 2:
-            raise ParameterError(f"player count must satisfy n >= 2, got {self.n}")
+        require_count(self.n, 2, "player count must satisfy n >= 2, got {!r}")
         for name in ("value", "sale_price", "bid_fee", "rho"):
             if not math.isfinite(getattr(self, name)):
                 raise ParameterError(f"{name} must be finite, got {getattr(self, name)!r}")

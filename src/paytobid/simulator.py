@@ -28,11 +28,13 @@ holdings, groups who left in the same round with the same bids, and a
 block of BLOCK_SIZE games holds O(games + rounds) values whatever n is.
 Workers receive whole blocks and the reduction runs in replication
 order, so results are bit-reproducible and independent of the worker
-count.
+count.  run_replications alone decides which fields a mode reports:
+the two-player figures exist only without re-entry and with n > 2.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional
@@ -132,6 +134,8 @@ def _philox_stream(master_seed: int, index: int) -> np.random.Generator:
     run anywhere without changing the numbers drawn.
     """
     require_count(master_seed, 0, "master seed must be a non-negative integer, got {!r}")
+    if master_seed >= 2**128:
+        raise ParameterError(f"master seed must be below 2**128, got {master_seed!r}")
     return np.random.Generator(np.random.Philox(key=master_seed).jumped(index))
 
 
@@ -239,7 +243,7 @@ class BlockRecord(NamedTuple):
     The per-game fields, one entry per replication, mirror GameRecord
     without the round log.  rounds_to_at_most_two is 0 while a game has
     not reached two or fewer bidders, and like reached_two_player_state
-    is tracked only without re-entry and with more than two players.
+    is tracked only without re-entry.
 
     A holding is a group of players of one game who end it alike:
     ``players`` players of game ``holder`` each made ``bid_counts`` bids,
@@ -377,7 +381,6 @@ def _play_count_block(params, bid_prob, rng, size, round_cap) -> BlockRecord:
     whatever the player count.
     """
     n = params.n
-    track_two = n > 2
     slots = np.arange(size)  # the running games
     active = np.full(size, n, dtype=np.int64)  # active count, follows slots
     total_bids = np.zeros(size, dtype=np.int64)
@@ -396,10 +399,9 @@ def _play_count_block(params, bid_prob, rng, size, round_cap) -> BlockRecord:
         effective[g] += 1
         rounds = effective[g]
         total_bids[g] += m
-        if track_two:
-            first = (m <= 2) & (rounds_to_two[g] == 0)
-            rounds_to_two[g[first]] = rounds[first]
-            reached_two[g[m == 2]] = True
+        first = (m <= 2) & (rounds_to_two[g] == 0)
+        rounds_to_two[g[first]] = rounds[first]
+        reached_two[g[m == 2]] = True
         ended = m == 1
         capped = ~ended & (rounds >= round_cap)
         truncated[g[capped]] = True
@@ -449,11 +451,11 @@ def _holding_utility(
     return table[key]
 
 
-# Per-replication summary columns produced by _simulate_blocks.
+# Per-replication summary columns produced by _simulate_block.
 _REVENUE, _EFF_LEN, _RAW_LEN, _UTILITY, _ROUNDS_TO_TWO, _REACHED_TWO, _TRUNCATED = range(7)
 
 
-def _simulate_blocks(
+def _simulate_block(
     params: AuctionParams,
     mode: GameMode,
     bid_prob: np.ndarray,
@@ -461,21 +463,19 @@ def _simulate_blocks(
     round_cap: int,
     initial_wealth: float,
     count: int,
-    first_block: int,
-    stop_block: int,
+    b: int,
 ) -> np.ndarray:
-    """Summary rows of blocks [first_block, stop_block) of a run of ``count``.
+    """Summary rows of block b of a run of ``count``.
 
     The utility column is evaluated for completed games only and reads 0
-    for truncated ones, which no mean uses.
+    for truncated ones, which no mean uses.  A game's utility sum past the
+    float range raises FloatingPointError.
     """
-    track_two = mode is GameMode.NO_REENTRY and params.n > 2
     block_size = _block_size(mode, params.n)
-    parts = []
-    for b in range(first_block, stop_block):
-        size = min(block_size, count - b * block_size)
-        game = _play_block(params, mode, bid_prob, _philox_stream(master_seed, b), size, round_cap)
-        done = ~game.truncated
+    size = min(block_size, count - b * block_size)
+    game = _play_block(params, mode, bid_prob, _philox_stream(master_seed, b), size, round_cap)
+    done = ~game.truncated
+    with np.errstate(over="raise"):
         if game.bid_counts.ndim == 2:  # re-entry: a row per game, summed along the roster
             per_game = np.zeros(size)
             held = _holding_utility(params, initial_wealth, game.bid_counts[done], game.won[done])
@@ -484,26 +484,25 @@ def _simulate_blocks(
             mine = done[game.holder]
             held = _holding_utility(params, initial_wealth, game.bid_counts[mine], game.won[mine])
             per_game = np.bincount(game.holder[mine], held * game.players[mine], minlength=size)
-        untracked = np.full(size, np.nan)
-        parts.append(
-            np.column_stack(
-                (
-                    game.revenue,
-                    game.effective_length,
-                    game.raw_length,
-                    per_game / params.n,
-                    game.rounds_to_at_most_two if track_two else untracked,
-                    game.reached_two_player_state if track_two else untracked,
-                    game.truncated,
-                )
-            )
+    return np.column_stack(
+        (
+            game.revenue,
+            game.effective_length,
+            game.raw_length,
+            per_game / params.n,
+            game.rounds_to_at_most_two,
+            game.reached_two_player_state,
+            game.truncated,
         )
-    return np.vstack(parts)
+    )
 
 
 def _mean_se(values: np.ndarray) -> tuple:
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else float("nan")
+    # A sum or a square past the float range, or an infinite value, raises
+    # FloatingPointError instead of reporting an infinite or NaN figure.
+    with np.errstate(over="raise", invalid="raise"):
+        mean = float(values.mean())
+        se = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else float("nan")
     return mean, se
 
 
@@ -530,6 +529,10 @@ def run_replications(
     replication order, so the result is byte-identical for any worker
     count.
 
+    Raises FloatingPointError when the mean or the standard error of
+    the player utility leaves the float range, as it can at a large
+    initial wealth with rho < 0.
+
     Raises RawRoundBudgetError, before playing, when the games would be
     expected to play more than RAW_ROUND_BUDGET raw rounds in all: each
     needs 1/busy(n) of them on average, busy(n) = 1 - (1 - p(n))**n
@@ -538,6 +541,8 @@ def run_replications(
     require_count(count, 1, "replication count must be an integer >= 1, got {!r}")
     require_count(round_cap, 1, "round cap must be an integer >= 1, got {!r}")
     require_count(workers, 1, "worker count must be an integer >= 1, got {!r}")
+    if not math.isfinite(initial_wealth):
+        raise ParameterError(f"initial wealth must be finite, got {initial_wealth!r}")
     bid_prob = _bid_prob_table(params)
     # Every game, in either mode, waits 1/busy(n) raw rounds on average
     # for its first effective round.
@@ -551,21 +556,17 @@ def run_replications(
 
     blocks = -(-count // _block_size(mode, params.n))
     jobs = min(workers, blocks)
+    play = functools.partial(
+        _simulate_block, params, mode, bid_prob, master_seed, round_cap, initial_wealth, count
+    )
     if jobs == 1:
-        summary = _simulate_blocks(
-            params, mode, bid_prob, master_seed, round_cap, initial_wealth, count, 0, blocks
-        )
+        summary = np.vstack(list(map(play, range(blocks))))
     else:
-        bounds = [blocks * w // jobs for w in range(jobs + 1)]
-        args = [
-            (params, mode, bid_prob, master_seed, round_cap, initial_wealth, count, lo, hi)
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
         from concurrent.futures import ProcessPoolExecutor  # costs ~25 ms of import
 
+        # One chunk of consecutive blocks per worker; map keeps block order.
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_simulate_blocks, *zip(*args)))
-        summary = np.vstack(parts)
+            summary = np.vstack(list(pool.map(play, range(blocks), chunksize=-(-blocks // jobs))))
 
     completed = summary[summary[:, _TRUNCATED] == 0.0]
     truncated_count = int(count - completed.shape[0])
@@ -579,8 +580,7 @@ def run_replications(
     mean_eff, se_eff = _mean_se(completed[:, _EFF_LEN])
     mean_raw, se_raw = _mean_se(completed[:, _RAW_LEN])
     mean_util, se_util = _mean_se(completed[:, _UTILITY])
-    track_two = mode is GameMode.NO_REENTRY and params.n > 2
-    if track_two:
+    if mode is GameMode.NO_REENTRY and params.n > 2:
         frac, se_frac = _mean_se(completed[:, _REACHED_TWO])
         t_two, se_two = _mean_se(completed[:, _ROUNDS_TO_TWO])
     else:

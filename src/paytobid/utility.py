@@ -45,10 +45,6 @@ class RiskCoefficient:
                 f"(risk-loving or risk-neutral), got {self.value!r}"
             )
 
-    @property
-    def is_neutral(self) -> bool:
-        return self.value == 0.0
-
 
 @dataclass(frozen=True)
 class CarlUtility:
@@ -66,9 +62,9 @@ class CarlUtility:
     def from_value(cls, rho: float) -> "CarlUtility":
         return cls(RiskCoefficient(rho))
 
-    def _exponent(self, x: float, what: str) -> float:
+    def _exponent(self, x: float) -> float:
         if not math.isfinite(x):
-            raise ValueError(f"{what} must be finite, got {x!r}")
+            raise ValueError(f"amount must be finite, got {x!r}")
         t = self.rho.value * x
         if abs(t) > EXP_ARG_LIMIT:
             raise UtilityRangeError(
@@ -79,7 +75,7 @@ class CarlUtility:
 
     def evaluate(self, x: float) -> float:
         """Utility of a monetary amount x."""
-        t = self._exponent(x, "amount")
+        t = self._exponent(x)
         r = self.rho.value
         if r == 0.0:
             return x
@@ -93,11 +89,9 @@ class CarlUtility:
             raise UtilityRangeError(f"u({x!r}) overflows a float at rho = {r!r}")
         return value
 
-    __call__ = evaluate
-
     def derivative(self, x: float) -> float:
         """Marginal utility u'(x) = exp(-rho*x); strictly positive."""
-        t = self._exponent(x, "amount")
+        t = self._exponent(x)
         if self.rho.value == 0.0:
             return 1.0
         return math.exp(-t)

@@ -376,6 +376,41 @@ def test_simulate_beyond_the_raw_round_budget_exits_3(mode):
     assert "the budget is 1e+11 raw rounds" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["simulate", "revenue", "attrition"])
+def test_seed_beyond_a_philox_key_exits_2(capsys, command):
+    argv = [command, *BASE, "--replications", "10", "--seed", str(2**128)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: master seed must be below 2**128, got {2**128}\n"
+
+
+def test_utility_estimate_past_the_float_range_exits_3(capsys):
+    # u(3529) is about 1e154 at rho = -0.1, so its squares overflow; the
+    # row once reported se_player_utility as Infinity with exit 0.
+    argv = ["simulate", *BASE, "--rho=-0.1", "--replications", "8", "--initial-wealth", "3529"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err == "numerical failure: overflow encountered in square\n"
+
+
+@pytest.mark.parametrize("source", ["flag", "json"])
+@pytest.mark.parametrize("wealth", [math.nan, math.inf, -math.inf])
+def test_non_finite_initial_wealth_exits_2(capsys, tmp_path, source, wealth):
+    argv = ["simulate", *BASE, "--replications", "10"]
+    if source == "flag":
+        argv.append(f"--initial-wealth={wealth!r}")
+    else:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"initial_wealth": wealth}))  # NaN, Infinity, -Infinity
+        argv += ["--config", str(config)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: initial wealth must be finite, got {wealth!r}\n"
+
+
 # ---------------------------------------------------------------------------
 # formats and config files
 # ---------------------------------------------------------------------------
@@ -456,6 +491,23 @@ SETTING_CASES = {
 
 def test_setting_cases_cover_every_setting():
     assert set(SETTING_CASES) == set(cli.SETTINGS)
+
+
+# bool is an int subclass, so int(True) would read a JSON true as 1.
+NUMERIC_SETTINGS = [key for key, setting in cli.SETTINGS.items() if setting.type in (int, float)]
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("key", NUMERIC_SETTINGS)
+def test_json_bool_setting_exits_2(capsys, tmp_path, key, flag):
+    command, _ = SETTING_CASES[key]
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"n": 3, "value": 10, "bid_fee": 1, "replications": 20, key: flag}))
+    code, out, err = run_cli(capsys, [command, "--config", str(config)])
+    assert code == 2
+    assert out == ""
+    kind = cli.SETTINGS[key].type.__name__
+    assert err == f"error: config key {key!r}: {flag!r} is not a {kind}\n"
 
 
 @pytest.mark.parametrize("encoding", ["lines", "json"])
@@ -709,6 +761,87 @@ def test_valid_domain_exits_cleanly(command):
             code = main([command, *flags])
         assert code in (0, 2, 3), err.getvalue()
         assert code == 0 or out.getvalue() == ""
+
+    check()
+
+
+# Games at this point end in a few rounds, so simulate stays fast.
+FAST_POINT = {"n": 3, "value": 10.0, "sale_price": 0.0, "bid_fee": 1.0, "rho": -0.1}
+# Values each run setting accepts.  Replications stay at most 50, and a
+# round cap of 20 or more truncates almost no game at FAST_POINT.
+ACCEPTED = {
+    "replications": st.integers(1, 50),
+    "seed": st.integers(0, 2**128 - 1),
+    "round_cap": st.integers(20, 2**130),
+    "tol": st.floats(1e-300, 1.0),
+    "initial_wealth": st.floats(-20.0, 20.0),
+    "mode": st.sampled_from(["reentry", "no-reentry"]),
+    "format": st.sampled_from(["json", "csv"]),
+}
+# Values at or past the edge of each run setting, besides the bools and
+# the non-finite floats.  The raw-round budget refuses 10**12 or more
+# replications before the run plays.
+EDGES = {
+    "replications": st.one_of(st.sampled_from([-1, 0, 2.5]), st.integers(10**12, 2**130)),
+    "seed": st.one_of(st.sampled_from([-1, 2.5]), st.integers(2**128, 2**130), st.floats()),
+    "round_cap": st.one_of(st.sampled_from([-1, 0, 1, 2.5]), st.floats()),
+    "tol": st.one_of(st.integers(-2, 2**130), st.floats()),
+    "initial_wealth": st.one_of(st.integers(-(2**130), 2**130), st.floats()),
+    "mode": st.sampled_from(["both", None, 3]),
+    "format": st.sampled_from(["xml", None, 1]),
+}
+
+
+@st.composite
+def run_configs(draw, edge):
+    """(flags, config-file settings, file encoding) at FAST_POINT.
+
+    The run setting ``edge`` is a bool, a non-finite float or one of its
+    EDGES, and the others take accepted values.  Each run setting but
+    the replication count may be left out, and every setting present is
+    a flag or a config-file entry.
+    """
+    at_edge = st.one_of(st.booleans(), st.sampled_from([math.nan, math.inf, -math.inf]), EDGES[edge])
+    values = dict(FAST_POINT)
+    for key, accepted in ACCEPTED.items():
+        values[key] = draw(at_edge if key == edge else accepted)
+    flags, doc = [], {}
+    for key, value in values.items():
+        optional = key in ACCEPTED and key not in (edge, "replications")
+        where = draw(st.sampled_from(["flag", "file", "absent"][: 3 if optional else 2]))
+        if where == "flag":
+            text = value if isinstance(value, str) else repr(value)
+            flags.append(f"--{key.replace('_', '-')}={text}")
+        elif where == "file":
+            doc[key] = value
+    return flags, doc, draw(st.sampled_from(["json", "lines"]))
+
+
+# simulate runs only at FAST_POINT: the tiny-hazard points of the domain
+# can still bid on toward the round cap.
+@pytest.mark.parametrize("edge", list(ACCEPTED))
+@pytest.mark.parametrize("command", list(cli.TABLES))
+def test_run_settings_exit_cleanly(tmp_path, command, edge):
+    config = tmp_path / "run.cfg"
+
+    @settings(max_examples=50, deadline=timedelta(seconds=5))
+    @given(run_configs(edge))
+    def check(case):
+        flags, doc, encoding = case
+        if encoding == "json":
+            config.write_text(json.dumps(doc))  # NaN and Infinity as Python's json writes them
+        else:
+            config.write_text("".join(f"{k} = {v}\n" for k, v in doc.items()))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([command, "--config", str(config), *flags])
+            except SystemExit as exc:  # argparse refuses a flag it cannot convert
+                code = exc.code
+        assert code in (0, 2, 3), err.getvalue()
+        assert code == 0 or out.getvalue() == ""
+        if any(isinstance(v, bool) for v in doc.values()):
+            assert code == 2, "a config file's true or false is not a setting"
 
     check()
 

@@ -252,6 +252,15 @@ def test_master_seed_must_be_a_non_negative_integer():
         _philox_stream(-1, 0)
 
 
+def test_master_seed_must_fit_a_philox_key():
+    # A Philox key holds 128 bits; numpy's own ValueError must not escape.
+    params = make_params((10.0, 0.0, 1.0), n=3)
+    for mode in GameMode:
+        with pytest.raises(ParameterError, match=r"below 2\*\*128"):
+            run_replications(params, mode, 10, 2**128)
+        assert run_replications(params, mode, 10, 2**128 - 1).replications == 10
+
+
 def test_rerun_is_identical():
     params = make_params((10.0, 0.0, 1.0), rho=-0.1, n=3)
     first = run_replications(params, GameMode.WITH_REENTRY, 2_000, 11)
@@ -283,6 +292,28 @@ def test_initial_wealth_changes_only_the_utility_estimate():
         if field.name in changed:
             continue
         assert getattr(base, field.name) == getattr(shifted, field.name), field.name
+
+
+@pytest.mark.parametrize("wealth", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("mode", list(GameMode))
+def test_initial_wealth_must_be_finite(monkeypatch, mode, wealth):
+    def refuse(*args):
+        raise AssertionError("played a block")
+
+    monkeypatch.setattr("paytobid.simulator._play_block", refuse)
+    with pytest.raises(ParameterError, match="initial wealth must be finite"):
+        run_replications(make_params((10.0, 0.0, 1.0), n=3), mode, 10, 1, initial_wealth=wealth)
+
+
+# At rho = -0.1 a wealth of 3529 puts u near 1e154, so the utility's
+# squares overflow; at n = 100 and rho = -0.001 a game's sum of 100
+# utilities near 1e307 does.
+@pytest.mark.parametrize("n, rho, wealth", [(3, -0.1, 3529.0), (100, -0.001, 699990.0)])
+@pytest.mark.parametrize("mode", list(GameMode))
+def test_utility_estimate_past_the_float_range_raises(mode, n, rho, wealth):
+    params = make_params((10.0, 0.0, 1.0), rho=rho, n=n)
+    with pytest.raises(FloatingPointError, match="overflow"):
+        run_replications(params, mode, 8, 0, initial_wealth=wealth)
 
 
 def test_policy_functions_take_no_wealth():

@@ -116,6 +116,11 @@ def _solve(
     return [x[-1] for x in columns]
 
 
+def _funnel_reward(k: int, row: List[float]) -> float:
+    """One-step chance of landing on exactly two players, from k >= 3."""
+    return row[1] if k >= 3 else 0.0
+
+
 def bid_count_distribution(params: AuctionParams, k: int) -> List[float]:
     """Distribution of the number of bidders in an effective round.
 
@@ -148,14 +153,13 @@ def prob_two_player_endgame(params: AuctionParams, n_players: int) -> float:
     Solves P(k) = [P(Z=2) + sum_{3<=j<k} P(Z=j) P(j)] / (1 - P(Z=k))
     ascending in k, where Z is the bidder count of an effective round.
     Requires n_players >= 3; with two starting players the event is
-    vacuous.  Read from attrition_profile, so it raises FloatingPointError
-    where the profile's expected lengths overflow (lambda below about
-    1e-308), though the funnel itself is at most 1.
+    vacuous.  Solved alone, it stays finite where attrition_profile overflows.
     """
     require_count(
         n_players, 3, "two-player endgame requires a start of at least 3 players, got {!r}"
     )
-    return attrition_profile(params, n_players).two_player_endgame_prob
+    (funnel,) = _solve(params, n_players, lambda k, row: (_funnel_reward(k, row),))
+    return funnel
 
 
 class AttritionProfile(NamedTuple):
@@ -176,14 +180,13 @@ class AttritionProfile(NamedTuple):
 def attrition_profile(params: AuctionParams, n_players: int) -> AttritionProfile:
     """Rounds to <= 1 and <= 2 players, and the funnel, for one start.
 
-    Equals expected_passage_time at targets 1 and 2, and solves the
-    chain once with a three-column reward instead of once per figure.
-    The funnel's reward is the one-step chance of landing on exactly two
-    players, from k >= 3.
+    Equals expected_passage_time at targets 1 and 2 and
+    prob_two_player_endgame, but solves the chain once with a
+    three-column reward instead of once per figure.
     """
     require_count(n_players, 2, "starting player count must be an integer >= 2, got {!r}")
     rounds_to_one, rounds_to_two, funnel = _solve(
-        params, n_players, lambda k, row: (1.0, float(k > 2), row[1] if k > 2 else 0.0)
+        params, n_players, lambda k, row: (1.0, float(k > 2), _funnel_reward(k, row))
     )
     return AttritionProfile(rounds_to_one, rounds_to_two, funnel if n_players >= 3 else None)
 

@@ -59,7 +59,7 @@ class AuctionParams:
     rho: float = 0.0
 
     def __post_init__(self) -> None:
-        require_count(self.n, 2, "player count must satisfy n >= 2, got {!r}")
+        require_count(self.n, 2, "player count must be an integer n >= 2, got {!r}")
         for name in ("value", "sale_price", "bid_fee", "rho"):
             if not math.isfinite(getattr(self, name)):
                 raise ParameterError(f"{name} must be finite, got {getattr(self, name)!r}")

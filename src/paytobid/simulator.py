@@ -28,8 +28,7 @@ holdings, groups who left in the same round with the same bids, and a
 block of BLOCK_SIZE games holds O(games + rounds) values whatever n is.
 Workers receive whole blocks and the reduction runs in replication
 order, so results are bit-reproducible and independent of the worker
-count.  run_replications alone decides which fields a mode reports:
-the two-player figures exist only without re-entry and with n > 2.
+count.  _tracks_two_players says which games report two-player figures.
 """
 
 from __future__ import annotations
@@ -139,6 +138,10 @@ def _philox_stream(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=master_seed).jumped(index))
 
 
+def _tracks_two_players(mode: GameMode, n: int) -> bool:
+    return mode is GameMode.NO_REENTRY and n > 2
+
+
 def play_one_game(
     params: AuctionParams,
     mode: GameMode,
@@ -156,7 +159,7 @@ def play_one_game(
     """
     require_count(round_cap, 1, "round cap must be an integer >= 1, got {!r}")
     n = params.n
-    track_two = mode is GameMode.NO_REENTRY and n > 2
+    track_two = _tracks_two_players(mode, n)
     active = np.arange(n)
     bid_counts = np.zeros(n, dtype=np.int64)
     rounds: Optional[List[RoundOutcome]] = [] if collect_rounds else None
@@ -243,7 +246,7 @@ class BlockRecord(NamedTuple):
     The per-game fields, one entry per replication, mirror GameRecord
     without the round log.  rounds_to_at_most_two is 0 while a game has
     not reached two or fewer bidders, and like reached_two_player_state
-    is tracked only without re-entry.
+    is tracked only where _tracks_two_players holds.
 
     A holding is a group of players of one game who end it alike:
     ``players`` players of game ``holder`` each made ``bid_counts`` bids,
@@ -381,6 +384,7 @@ def _play_count_block(params, bid_prob, rng, size, round_cap) -> BlockRecord:
     whatever the player count.
     """
     n = params.n
+    track_two = _tracks_two_players(GameMode.NO_REENTRY, n)
     slots = np.arange(size)  # the running games
     active = np.full(size, n, dtype=np.int64)  # active count, follows slots
     total_bids = np.zeros(size, dtype=np.int64)
@@ -399,9 +403,10 @@ def _play_count_block(params, bid_prob, rng, size, round_cap) -> BlockRecord:
         effective[g] += 1
         rounds = effective[g]
         total_bids[g] += m
-        first = (m <= 2) & (rounds_to_two[g] == 0)
-        rounds_to_two[g[first]] = rounds[first]
-        reached_two[g[m == 2]] = True
+        if track_two:
+            first = (m <= 2) & (rounds_to_two[g] == 0)
+            rounds_to_two[g[first]] = rounds[first]
+            reached_two[g[m == 2]] = True
         ended = m == 1
         capped = ~ended & (rounds >= round_cap)
         truncated[g[capped]] = True
@@ -468,14 +473,13 @@ def _simulate_block(
     """Summary rows of block b of a run of ``count``.
 
     The utility column is evaluated for completed games only and reads 0
-    for truncated ones, which no mean uses.  A game's utility sum past the
-    float range raises FloatingPointError.
+    for truncated ones, which no mean uses.
     """
     block_size = _block_size(mode, params.n)
     size = min(block_size, count - b * block_size)
     game = _play_block(params, mode, bid_prob, _philox_stream(master_seed, b), size, round_cap)
     done = ~game.truncated
-    with np.errstate(over="raise"):
+    with np.errstate(over="raise"):  # a game's utility sum past the float range raises
         if game.bid_counts.ndim == 2:  # re-entry: a row per game, summed along the roster
             per_game = np.zeros(size)
             held = _holding_utility(params, initial_wealth, game.bid_counts[done], game.won[done])
@@ -498,9 +502,7 @@ def _simulate_block(
 
 
 def _mean_se(values: np.ndarray) -> tuple:
-    # A sum or a square past the float range, or an infinite value, raises
-    # FloatingPointError instead of reporting an infinite or NaN figure.
-    with np.errstate(over="raise", invalid="raise"):
+    with np.errstate(over="raise", invalid="raise"):  # no infinite or NaN figure
         mean = float(values.mean())
         se = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else float("nan")
     return mean, se
@@ -529,9 +531,8 @@ def run_replications(
     replication order, so the result is byte-identical for any worker
     count.
 
-    Raises FloatingPointError when the mean or the standard error of
-    the player utility leaves the float range, as it can at a large
-    initial wealth with rho < 0.
+    Raises FloatingPointError when a player utility figure leaves the
+    float range, as it can at a large initial wealth with rho < 0.
 
     Raises RawRoundBudgetError, before playing, when the games would be
     expected to play more than RAW_ROUND_BUDGET raw rounds in all: each
@@ -580,7 +581,7 @@ def run_replications(
     mean_eff, se_eff = _mean_se(completed[:, _EFF_LEN])
     mean_raw, se_raw = _mean_se(completed[:, _RAW_LEN])
     mean_util, se_util = _mean_se(completed[:, _UTILITY])
-    if mode is GameMode.NO_REENTRY and params.n > 2:
+    if _tracks_two_players(mode, params.n):
         frac, se_frac = _mean_se(completed[:, _REACHED_TWO])
         t_two, se_two = _mean_se(completed[:, _ROUNDS_TO_TWO])
     else:

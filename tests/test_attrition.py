@@ -19,7 +19,6 @@ from paytobid import (
     hazard_rate,
     prob_two_player_endgame,
 )
-from paytobid.attrition import _solve
 
 from helpers import (
     ATTRITION_POINTS,
@@ -239,20 +238,19 @@ def test_profile_is_the_source_of_the_two_player_views(n, ratio):
         return
     assert profile.endgame_time_fraction == endgame_time_fraction(params, n)
     assert profile.endgame_time_fraction == profile.rounds_to_two / profile.rounds_to_one
-    assert profile.two_player_endgame_prob == prob_two_player_endgame(params, n)
     # The chain solves each reward column on its own, so the funnel of
     # the three-column profile is the funnel solved alone, bit for bit.
-    (funnel,) = _solve(params, n, lambda k, row: (row[1] if k > 2 else 0.0,))
-    assert profile.two_player_endgame_prob == funnel
+    assert profile.two_player_endgame_prob == prob_two_player_endgame(params, n)
 
 
-def test_funnel_raises_where_the_profile_overflows():
+def test_funnel_stays_finite_where_the_profile_overflows():
     # lambda = 1e-310, so two players leave their state with chance
-    # 2e-310 and the expected lengths pass the float range.
+    # 2e-310 and the expected lengths pass the float range; the funnel,
+    # solved alone, does not.
     params = AuctionParams(n=4, value=1e300, sale_price=0.0, bid_fee=1e-10)
-    for view in (attrition_profile, prob_two_player_endgame):
-        with pytest.raises(FloatingPointError, match="overflow"):
-            view(params, 4)
+    with pytest.raises(FloatingPointError, match="overflow"):
+        attrition_profile(params, 4)
+    assert prob_two_player_endgame(params, 4) == 1.0
 
 
 @pytest.mark.parametrize("ratio", [1.01, 10.0, 1e3, 1e6])

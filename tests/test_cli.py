@@ -385,14 +385,24 @@ def test_seed_beyond_a_philox_key_exits_2(capsys, command):
     assert err == f"error: master seed must be below 2**128, got {2**128}\n"
 
 
-def test_utility_estimate_past_the_float_range_exits_3(capsys):
-    # u(3529) is about 1e154 at rho = -0.1, so its squares overflow; the
-    # row once reported se_player_utility as Infinity with exit 0.
-    argv = ["simulate", *BASE, "--rho=-0.1", "--replications", "8", "--initial-wealth", "3529"]
+# u(3529) is about 1e154 at rho = -0.1, so its squares overflow; at n = 100
+# and rho = -0.001 a game's sum of 100 utilities near 1e307 does.  Such a
+# row once reported an infinite figure with exit 0, after numpy's warning.
+@pytest.mark.parametrize(
+    "mode, n, rho, wealth, op",
+    [
+        ("reentry", 3, -0.1, 3529, "square"),
+        ("reentry", 100, -0.001, 699990, "reduce"),
+        ("no-reentry", 100, -0.001, 699990, "multiply"),
+    ],
+)
+def test_utility_estimate_past_the_float_range_exits_3(capsys, mode, n, rho, wealth, op):
+    argv = ["simulate", "--n", str(n), "--value", "10", "--bid-fee", "1", f"--rho={rho}",
+            "--mode", mode, "--replications", "8", "--initial-wealth", str(wealth)]
     code, out, err = run_cli(capsys, argv)
     assert code == 3
     assert out == ""
-    assert err == "numerical failure: overflow encountered in square\n"
+    assert err == f"numerical failure: overflow encountered in {op}\n"
 
 
 @pytest.mark.parametrize("source", ["flag", "json"])

@@ -47,7 +47,6 @@ from .equilibrium import (
     ParameterError,
 )
 from .revenue import DEFAULT_TRUNCATION_TOL, closed_form_revenue, revenue_series
-from .utility import RiskCoefficientError
 
 
 # Only a row function that needs the attrition chain or the Monte Carlo
@@ -142,7 +141,7 @@ def _coerce(key: str, raw) -> object:
         if kind is int and isinstance(raw, float) and not raw.is_integer():
             raise ValueError(f"{raw!r} is not an integer")
         return kind(raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # a JSON integer past the float range
         raise ConfigError(f"config key {key!r}: {exc}") from None
 
 
@@ -151,7 +150,7 @@ def _load_config_file(path: str) -> Dict[str, object]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
 
     if text.lstrip().startswith("{"):
@@ -203,8 +202,14 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
         if setting.choices is not None and value not in setting.choices:
             raise ConfigError(f"{key} must be one of {list(setting.choices)}, got {value!r}")
         setattr(cfg, key, value)
-    specs = file_values.get("sweep", []) + (args.sweep or [])
-    cfg.sweep = [_parse_sweep_spec(s) for s in specs]
+    cfg.sweep = []
+    for spec in file_values.get("sweep", []) + (args.sweep or []):
+        axis, values = _parse_sweep_spec(spec)
+        if axis in dict(cfg.sweep):  # its points would overwrite the first sweep's
+            raise ConfigError(
+                f"sweep {spec!r} repeats the {axis} axis; list all its values in one sweep"
+            )
+        cfg.sweep.append((axis, values))
     return cfg
 
 
@@ -350,7 +355,7 @@ def build_table(name: str, spec: TableSpec, cfg: argparse.Namespace):
         fields = {**base, **dict(zip(names, combo))}
         try:
             params = AuctionParams(**fields)
-        except (ParameterError, RiskCoefficientError) as exc:
+        except ParameterError as exc:
             if not cfg.sweep:
                 raise
             skipped = {key: getattr(cfg, key) for key in spec.skipped}
@@ -443,7 +448,7 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
         columns, blocks = COMMANDS[args.command](cfg)
         text = render(args.command, columns, blocks, cfg.format)
-    except (ConfigError, ParameterError, RiskCoefficientError) as exc:
+    except (ConfigError, ParameterError) as exc:  # RiskCoefficientError is a ParameterError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

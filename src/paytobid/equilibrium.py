@@ -22,16 +22,12 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
-from .utility import CarlUtility, RiskCoefficient, UtilityRangeError
+from .utility import CarlUtility, ParameterError, RiskCoefficient, UtilityRangeError
 
 # DEFAULT_ROUND_CAP and GameMode set up a Monte Carlo run.  They live
 # here, where numpy is not imported, so the CLI can name them without
 # loading the simulator.
 DEFAULT_ROUND_CAP = 10_000_000  # effective rounds before a game stops as truncated
-
-
-class ParameterError(ValueError):
-    """Auction parameters violate a model invariant."""
 
 
 class GameMode(enum.Enum):
@@ -78,7 +74,7 @@ class AuctionParams:
                 f"{self.value - self.sale_price}); no interior mixing "
                 "probability exists otherwise"
             )
-        # Raises RiskCoefficientError for rho > 0.
+        # Raises RiskCoefficientError, a ParameterError, for rho > 0.
         RiskCoefficient(self.rho)
 
     @property

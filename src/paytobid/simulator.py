@@ -34,6 +34,7 @@ count.  _tracks_two_players says which games report two-player figures.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional
@@ -456,8 +457,16 @@ def _holding_utility(
     return table[key]
 
 
-# Per-replication summary columns produced by _simulate_block.
-_REVENUE, _EFF_LEN, _RAW_LEN, _UTILITY, _ROUNDS_TO_TWO, _REACHED_TWO, _TRUNCATED = range(7)
+# The (mean, SE) fields of SimulationResult, in the order of the summary
+# columns of _simulate_block; the two-player pairs come last.
+_FIGURES = (
+    ("mean_revenue", "se_revenue"),
+    ("mean_effective_length", "se_effective_length"),
+    ("mean_raw_length", "se_raw_length"),
+    ("mean_player_utility", "se_player_utility"),
+    ("mean_rounds_to_two", "se_rounds_to_two"),
+    ("two_player_passage_fraction", "se_two_player_passage_fraction"),
+)
 
 
 def _simulate_block(
@@ -471,6 +480,8 @@ def _simulate_block(
     b: int,
 ) -> np.ndarray:
     """Summary rows of block b of a run of ``count``.
+
+    One column per pair of _FIGURES, in its order, then the truncation flag.
 
     The utility column is evaluated for completed games only and reads 0
     for truncated ones, which no mean uses.
@@ -569,7 +580,7 @@ def run_replications(
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             summary = np.vstack(list(pool.map(play, range(blocks), chunksize=-(-blocks // jobs))))
 
-    completed = summary[summary[:, _TRUNCATED] == 0.0]
+    completed = summary[summary[:, -1] == 0.0]
     truncated_count = int(count - completed.shape[0])
     if completed.shape[0] == 0:
         raise ParameterError(
@@ -577,30 +588,13 @@ def run_replications(
             "no completed games to aggregate"
         )
 
-    mean_rev, se_rev = _mean_se(completed[:, _REVENUE])
-    mean_eff, se_eff = _mean_se(completed[:, _EFF_LEN])
-    mean_raw, se_raw = _mean_se(completed[:, _RAW_LEN])
-    mean_util, se_util = _mean_se(completed[:, _UTILITY])
-    if _tracks_two_players(mode, params.n):
-        frac, se_frac = _mean_se(completed[:, _REACHED_TWO])
-        t_two, se_two = _mean_se(completed[:, _ROUNDS_TO_TWO])
-    else:
-        frac = se_frac = t_two = se_two = None
-
+    figures = dict.fromkeys(itertools.chain(*_FIGURES))  # None where not tracked
+    reported = _FIGURES if _tracks_two_players(mode, params.n) else _FIGURES[:-2]
+    for column, (mean, se) in enumerate(reported):
+        figures[mean], figures[se] = _mean_se(completed[:, column])
     return SimulationResult(
         replications=count,
         truncated_replications=truncated_count,
         initial_wealth=initial_wealth,
-        mean_revenue=mean_rev,
-        se_revenue=se_rev,
-        mean_effective_length=mean_eff,
-        se_effective_length=se_eff,
-        mean_raw_length=mean_raw,
-        se_raw_length=se_raw,
-        mean_player_utility=mean_util,
-        se_player_utility=se_util,
-        two_player_passage_fraction=frac,
-        se_two_player_passage_fraction=se_frac,
-        mean_rounds_to_two=t_two,
-        se_rounds_to_two=se_two,
+        **figures,
     )

@@ -16,7 +16,11 @@ from dataclasses import dataclass
 EXP_ARG_LIMIT = 700.0
 
 
-class RiskCoefficientError(ValueError):
+class ParameterError(ValueError):
+    """Auction parameters violate a model invariant."""
+
+
+class RiskCoefficientError(ParameterError):
     """Risk coefficient is positive (risk-averse) or not finite."""
 
 

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+import paytobid
 import paytobid.cli as cli
 from paytobid import (
     AuctionParams,
@@ -520,6 +521,58 @@ def test_json_bool_setting_exits_2(capsys, tmp_path, key, flag):
     assert err == f"error: config key {key!r}: {flag!r} is not a {kind}\n"
 
 
+FLOAT_SETTINGS = [key for key, setting in cli.SETTINGS.items() if setting.type is float]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("key", FLOAT_SETTINGS)
+def test_json_integer_past_the_float_range_exits_2(capsys, tmp_path, key, sign):
+    command, _ = SETTING_CASES[key]
+    config = tmp_path / "run.json"
+    doc = {"n": 3, "value": 10, "bid_fee": 1, "replications": 20, key: sign * 10**400}
+    config.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, [command, "--config", str(config)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: config key {key!r}: int too large to convert to float\n"
+
+
+@pytest.mark.parametrize(
+    "text", [b"n = 3\nvalue = 10\xff\nbid-fee = 1\n", b'{"n": 3, "value": 10, "\xff": 1}'],
+    ids=["lines", "json"],
+)
+def test_config_file_that_is_not_utf8_exits_2(capsys, tmp_path, text):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(text)
+    code, out, err = run_cli(capsys, ["equilibrium", "--config", str(config)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read config file {str(config)!r}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "flags,config",
+    [
+        (["--sweep", "n=2,3", "--sweep", "n=4"], None),
+        ([], {"sweep": ["n=2,3", "n=4"]}),
+        ([], "sweep = n=2,3\nsweep = n=4\n"),
+        (["--sweep", "n=4"], "sweep = n=2,3\n"),
+    ],
+    ids=["flags", "json-list", "lines", "file-and-flag"],
+)
+def test_repeated_sweep_axis_exits_2(capsys, tmp_path, flags, config):
+    argv = ["equilibrium", *BASE, *flags]
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
+        argv += ["--config", str(path)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: sweep 'n=4' repeats the n axis; list all its values in one sweep\n"
+
+
 @pytest.mark.parametrize("encoding", ["lines", "json"])
 @pytest.mark.parametrize("key", list(SETTING_CASES))
 def test_config_file_and_flags_agree(capsys, tmp_path, key, encoding):
@@ -625,6 +678,35 @@ def test_every_exported_name_resolves():
             "    pass\n"
             "else:\n"
             "    raise AssertionError('no_such_name resolved')\n",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_exported_names_are_pinned():
+    assert set(paytobid.__all__) == {
+        "AttritionProfile", "AuctionParams", "CarlUtility", "DEFAULT_ROUND_CAP",
+        "EquilibriumPolicy", "GameMode", "GameRecord", "ParameterError", "PolicyCoverageError",
+        "RevenueBreakdown", "RiskCoefficient", "RiskCoefficientError", "RoundOutcome",
+        "SeriesLengthError", "SimulationResult", "UtilityRangeError", "attrition_profile",
+        "bid_count_distribution", "bid_probability", "closed_form_revenue",
+        "endgame_time_fraction", "expected_entrants", "expected_passage_time", "hazard_rate",
+        "indifference_residual", "play_one_game", "prob_two_player_endgame", "revenue_series",
+        "revenue_supremum", "run_replications", "solve_equilibrium_by_bisection",
+        "win_probability",
+    }
+    assert len(paytobid.__all__) == 32
+
+
+def test_package_import_loads_no_submodule():
+    proc = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, paytobid; "
+            "loaded = sorted(m for m in sys.modules if m.startswith('paytobid.')); "
+            "assert not loaded, loaded",
         ],
         capture_output=True,
         text=True,
@@ -790,13 +872,14 @@ ACCEPTED = {
 }
 # Values at or past the edge of each run setting, besides the bools and
 # the non-finite floats.  The raw-round budget refuses 10**12 or more
-# replications before the run plays.
+# replications before the run plays.  An integer of 10**400 is past the
+# float range, which a float setting of a JSON config file must refuse.
 EDGES = {
     "replications": st.one_of(st.sampled_from([-1, 0, 2.5]), st.integers(10**12, 2**130)),
     "seed": st.one_of(st.sampled_from([-1, 2.5]), st.integers(2**128, 2**130), st.floats()),
     "round_cap": st.one_of(st.sampled_from([-1, 0, 1, 2.5]), st.floats()),
-    "tol": st.one_of(st.integers(-2, 2**130), st.floats()),
-    "initial_wealth": st.one_of(st.integers(-(2**130), 2**130), st.floats()),
+    "tol": st.one_of(st.integers(-(10**400), 10**400), st.floats()),
+    "initial_wealth": st.one_of(st.integers(-(10**400), 10**400), st.floats()),
     "mode": st.sampled_from(["both", None, 3]),
     "format": st.sampled_from(["xml", None, 1]),
 }
@@ -852,6 +935,11 @@ def test_run_settings_exit_cleanly(tmp_path, command, edge):
         assert code == 0 or out.getvalue() == ""
         if any(isinstance(v, bool) for v in doc.values()):
             assert code == 2, "a config file's true or false is not a setting"
+        if encoding == "json" and any(
+            cli.SETTINGS[k].type is float and isinstance(v, int) and abs(v) > sys.float_info.max
+            for k, v in doc.items()
+        ):
+            assert code == 2, "a JSON integer past the float range is not a float setting"
 
     check()
 

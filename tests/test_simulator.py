@@ -16,11 +16,13 @@ from paytobid import (
     GameMode,
     ParameterError,
     PolicyCoverageError,
+    SimulationResult,
     closed_form_revenue,
     play_one_game,
     run_replications,
 )
 from paytobid.simulator import (
+    _FIGURES,
     BLOCK_SIZE,
     _bid_prob_table,
     _net_money,
@@ -366,6 +368,15 @@ def test_two_player_fields_absent_outside_their_domain():
     two = attrition_params(2, 10)
     no_reentry_two = run_replications(two, GameMode.NO_REENTRY, 500, 3)
     assert no_reentry_two.two_player_passage_fraction is None
+
+
+def test_figure_table_names_every_result_field():
+    # run_replications fills every (mean, SE) field from _FIGURES; any
+    # other field of the result must be one it sets by name.
+    named = ["replications", "truncated_replications", "initial_wealth"]
+    figures = [name for pair in _FIGURES for name in pair]
+    fields = [field.name for field in dataclasses.fields(SimulationResult)]
+    assert sorted(named + figures) == sorted(fields)
 
 
 def test_symmetric_bid_frequencies_chi_square():

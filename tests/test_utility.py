@@ -6,7 +6,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paytobid import CarlUtility, RiskCoefficient, RiskCoefficientError, UtilityRangeError
+import paytobid
+from paytobid import (
+    CarlUtility,
+    ParameterError,
+    RiskCoefficient,
+    RiskCoefficientError,
+    UtilityRangeError,
+    equilibrium,
+    utility,
+)
 
 from helpers import mp_utility
 
@@ -188,6 +197,12 @@ def test_positive_rho_rejected():
         RiskCoefficient(0.1)
     with pytest.raises(RiskCoefficientError):
         CarlUtility.from_value(1e-12)
+
+
+def test_input_errors_are_one_family():
+    # The CLI reports every ParameterError, a bad rho included, with exit 2.
+    assert issubclass(RiskCoefficientError, ParameterError)
+    assert utility.ParameterError is equilibrium.ParameterError is paytobid.ParameterError
 
 
 def test_non_finite_rho_rejected():

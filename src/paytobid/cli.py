@@ -12,8 +12,10 @@ parameter columns to every block.
 A table is a list of blocks.  A block maps a column to a scalar, the
 value of that column in every row of the block, or to a list with one
 value per row; a block without a list column is one row, and a missing
-column reads None.  A cell is never a list.  render encodes each scalar
-once per block and each list column in one call.
+column reads None.  A cell is never a list.  render encodes the scalars
+of a block in one call and each list column in one call.  In JSON the
+text between two list cells is the same in every row of a block, so it
+is laid out once and one join interleaves it with the list columns.
 
 Every subcommand is a pure function of its configuration and seed:
 rerunning with the same inputs reproduces the output byte for byte.
@@ -36,7 +38,6 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import asdict
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .equilibrium import (
@@ -50,8 +51,8 @@ from .revenue import DEFAULT_TRUNCATION_TOL, closed_form_revenue, revenue_series
 
 
 # Only a row function that needs the attrition chain or the Monte Carlo
-# loads its module: the simulator imports numpy, which costs every process
-# about 0.18 s, and compiling attrition.py without bytecode a few ms.
+# loads its module: the simulator imports numpy, which costs a process
+# about 0.16 s, and compiling attrition.py without bytecode a few ms.
 # The function is looked up when called, so a replacement set on the
 # module (a test double, a tracer) is the one that runs.
 def attrition_profile(*args, **kwargs):
@@ -236,7 +237,7 @@ def _revenue_rows(cfg: argparse.Namespace, params: AuctionParams) -> List[Block]
     breakdown = closed_form_revenue(params)
     series_fee = revenue_series(params, cfg.tol)
     row: Block = {
-        **asdict(breakdown),
+        **breakdown._asdict(),
         "series_fee": series_fee,
         "series_total": params.sale_price + series_fee,
         "replications": cfg.replications,
@@ -292,7 +293,7 @@ def _simulate_rows(cfg: argparse.Namespace, params: AuctionParams) -> List[Block
         params, GameMode(cfg.mode), cfg.replications, cfg.seed, cfg.round_cap,
         initial_wealth=cfg.initial_wealth,
     )
-    return [{"mode": cfg.mode, "seed": cfg.seed, "round_cap": cfg.round_cap, **asdict(result)}]
+    return [{"mode": cfg.mode, "seed": cfg.seed, "round_cap": cfg.round_cap, **vars(result)}]
 
 
 class TableSpec(NamedTuple):
@@ -395,8 +396,8 @@ def _csv_column(values: list) -> List[str]:
 
 
 def _encoded_rows(columns, blocks, encode):
-    """The encoded cells of each row, block by block; encode maps a list
-    of cells to their texts."""
+    """The encoded cells of each CSV row, block by block; encode maps a
+    list of cells to their texts."""
     for block in blocks:
         cells = [block.get(c) for c in columns]
         size = next((len(v) for v in cells if isinstance(v, list)), 1)
@@ -404,6 +405,45 @@ def _encoded_rows(columns, blocks, encode):
             *(encode(v) if isinstance(v, list) else encode([v]) * size for v in cells),
             strict=True,
         )
+
+
+def _json_block(columns: List[str], heads: List[str], block: Block) -> str:
+    """The rows of one block as json.dumps(..., indent=2) lays them out,
+    joined by ",\n"; the empty string for a block of no rows.
+
+    The text from one list cell to the next (column heads and scalar
+    cells) is the same in every row, so it is built once, and a single
+    join interleaves it with the encoded list columns.
+    """
+    cells = [block.get(c) for c in columns]
+    scalars = iter(_json_column([v for v in cells if not isinstance(v, list)]))
+    texts, lists, text = [], [], ""  # texts[j] is the text before list column j
+    for head, value in zip(heads, cells):
+        text += head
+        if isinstance(value, list):
+            texts.append(text)
+            lists.append(_json_column(value))
+            text = ""
+        else:
+            text += next(scalars)
+    text += "\n    }"
+    if not lists:
+        return text
+    size = len(lists[0])
+    if any(len(column) != size for column in lists):
+        raise ValueError("the list columns of a block differ in length")
+    if not size:
+        return ""
+    # Row r reads texts[0], lists[0][r], texts[1], ..., lists[-1][r], text,
+    # and ",\n" separates two rows.
+    texts.append(text + ",\n" + texts[0])
+    stride = 2 * len(lists)
+    pieces = [texts[0]] * (stride * size + 1)
+    for j, column in enumerate(lists):
+        pieces[2 * j + 1::stride] = column
+        pieces[2 * j + 2::stride] = [texts[j + 1]] * size
+    pieces[-1] = text
+    return "".join(pieces)
 
 
 def render(command: str, columns: List[str], blocks: List[Block], fmt: str) -> str:
@@ -415,11 +455,11 @@ def render(command: str, columns: List[str], blocks: List[Block], fmt: str) -> s
         return buf.getvalue()
     # The text of json.dumps({"command": ..., "rows": ...}, indent=2) + "\n",
     # with the cells encoded by the C encoder, which json.dumps bypasses
-    # once indent is set.
-    template = "    {\n" + ",\n".join(
-        f"      {json.dumps(c).replace('%', '%%')}: %s" for c in columns
-    ) + "\n    }"
-    body = ",\n".join(template % cells for cells in _encoded_rows(columns, blocks, _json_column))
+    # once indent is set.  The head of a cell opens its row or ends the
+    # cell before it.
+    keys = [json.dumps(c) for c in columns]
+    heads = [f"    {{\n      {keys[0]}: ", *(f",\n      {key}: " for key in keys[1:])]
+    body = ",\n".join(filter(None, (_json_block(columns, heads, block) for block in blocks)))
     head = f'{{\n  "command": {json.dumps(command)},\n  "rows": '
     return f"{head}[\n{body}\n  ]\n}}\n" if body else f"{head}[]\n}}\n"
 

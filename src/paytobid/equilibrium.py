@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
-from .utility import CarlUtility, ParameterError, RiskCoefficient, UtilityRangeError
+from .utility import CarlUtility, CheckedRecord, ParameterError, RiskCoefficient, UtilityRangeError
 
 # DEFAULT_ROUND_CAP and GameMode set up a Monte Carlo run.  They live
 # here, where numpy is not imported, so the CLI can name them without
@@ -37,8 +36,15 @@ class GameMode(enum.Enum):
     NO_REENTRY = "no-reentry"
 
 
-@dataclass(frozen=True)
-class AuctionParams:
+class _AuctionParamsFields(NamedTuple):
+    n: int
+    value: float
+    sale_price: float
+    bid_fee: float
+    rho: float = 0.0
+
+
+class AuctionParams(CheckedRecord, _AuctionParamsFields):
     """Primitive tuple of the auction: player count, money amounts, risk.
 
     Invariants enforced at construction: n >= 2, value > 0,
@@ -48,13 +54,10 @@ class AuctionParams:
     0 < p < 1 exists and every downstream formula would be undefined.
     """
 
-    n: int
-    value: float
-    sale_price: float
-    bid_fee: float
-    rho: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         require_count(self.n, 2, "player count must be an integer n >= 2, got {!r}")
         for name in ("value", "sale_price", "bid_fee", "rho"):
             if not math.isfinite(getattr(self, name)):
@@ -74,8 +77,10 @@ class AuctionParams:
                 f"{self.value - self.sale_price}); no interior mixing "
                 "probability exists otherwise"
             )
-        # Raises RiskCoefficientError, a ParameterError, for rho > 0.
+        # rho is finite here, so this raises only for rho > 0, as a
+        # RiskCoefficientError, which is a ParameterError.
         RiskCoefficient(self.rho)
+        return self
 
     @property
     def utility(self) -> CarlUtility:
@@ -141,6 +146,11 @@ class RoundOdds(NamedTuple):
     hazard: float
 
 
+def _bid(log_lam: float, k: int) -> float:
+    """p(k) = 1 - lambda ** (1 / (k - 1)), as -expm1(log q)."""
+    return -math.expm1(log_lam / (k - 1))
+
+
 def round_odds(log_lam: float, k: int) -> RoundOdds:
     """RoundOdds of k >= 2 active players at a win ratio lambda in (0, 1).
 
@@ -152,7 +162,7 @@ def round_odds(log_lam: float, k: int) -> RoundOdds:
     times entrants >= 1, is positive too.
     """
     log_q = log_lam / (k - 1)
-    bid = -math.expm1(log_q)
+    bid = _bid(log_lam, k)
     busy = -math.expm1(k * log_q)
     entrants = k * bid / busy
     return RoundOdds(log_q, bid, busy, entrants, math.exp(log_lam) * entrants)
@@ -169,8 +179,7 @@ def bid_probability(params: AuctionParams, k: int) -> float:
     return odds_at(params, k).bid
 
 
-@dataclass(frozen=True)
-class EquilibriumPolicy:
+class EquilibriumPolicy(NamedTuple):
     """Bid-probability table p(k) for k = 2..n plus the win ratio.
 
     ``win_prob`` is computed once per parameter set; each p(k) is
@@ -185,7 +194,7 @@ class EquilibriumPolicy:
     def from_params(cls, params: AuctionParams) -> "EquilibriumPolicy":
         lam = win_probability(params)
         log_lam = math.log(lam)
-        table = {k: round_odds(log_lam, k).bid for k in range(2, params.n + 1)}
+        table = {k: _bid(log_lam, k) for k in range(2, params.n + 1)}
         return cls(win_prob=lam, bid_prob=table)
 
 

@@ -12,7 +12,7 @@ closed form, so this module is scalar arithmetic and needs no numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .equilibrium import AuctionParams, ParameterError, odds_at
 
@@ -26,8 +26,7 @@ class SeriesLengthError(ArithmeticError):
     """
 
 
-@dataclass(frozen=True)
-class RevenueBreakdown:
+class RevenueBreakdown(NamedTuple):
     """Expected seller income split into sale price and bid fees.
 
     hazard, expected_entrants and expected_length are evaluated at the
@@ -75,13 +74,18 @@ def revenue_series(
     the fee component only; add the sale price for the total.  Defined
     for the stationary (re-entry) regime.
 
-    Raises SeriesLengthError when h is too small to move d off 1; the
+    Raises ParameterError unless the tolerance is positive and finite,
+    and SeriesLengthError when h is too small to move d off 1; the
     closed form still holds there.
     """
     if not truncation_tol > 0:
         raise ParameterError(
             f"truncation tolerance must be positive, got {truncation_tol!r}"
         )
+    # An infinite tolerance would stop the series after one term and let
+    # the CLI's series check pass any gap to the closed form.
+    if truncation_tol == math.inf:
+        raise ParameterError("truncation tolerance must be finite, got inf")
     odds = odds_at(params, params.n)
     h = odds.hazard
     per_round_fees = params.bid_fee * odds.entrants

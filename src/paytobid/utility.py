@@ -9,7 +9,7 @@ approximated by a tiny negative float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # |rho * x| beyond this overflows double-precision exp; fail loudly
 # instead of returning infinity.
@@ -28,17 +28,36 @@ class UtilityRangeError(OverflowError):
     """|rho * x| leaves the exp range, u(x) overflows, or u(c)/u(v - s) underflows."""
 
 
-@dataclass(frozen=True)
-class RiskCoefficient:
+class CheckedRecord:
+    """Base of a NamedTuple record whose __new__ checks its fields.
+
+    _replace builds its result through _make, which here goes through
+    __new__, so no copy of a record skips the checks; unpickling calls
+    __new__ too.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _RiskCoefficientFields(NamedTuple):
+    value: float
+
+
+class RiskCoefficient(CheckedRecord, _RiskCoefficientFields):
     """Arrow-Pratt coefficient restricted to the risk-loving side.
 
     ``value`` must satisfy value <= 0; value == 0 encodes risk
     neutrality exactly.
     """
 
-    value: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not math.isfinite(self.value):
             raise RiskCoefficientError(
                 f"risk coefficient must be finite, got {self.value!r}"
@@ -48,10 +67,10 @@ class RiskCoefficient:
                 "risk coefficient must satisfy rho <= 0 "
                 f"(risk-loving or risk-neutral), got {self.value!r}"
             )
+        return self
 
 
-@dataclass(frozen=True)
-class CarlUtility:
+class CarlUtility(NamedTuple):
     """Utility kernel u(x) = (1 - exp(-rho*x)) / rho with u(0) = 0.
 
     For rho == 0 every operation uses the risk-neutral limit (u(x) = x,

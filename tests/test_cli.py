@@ -105,6 +105,25 @@ def test_revenue_series_beyond_its_budget_exits_3(capsys, n):
     assert "fee series" in err
 
 
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan"])
+def test_non_finite_tol_exits_2(capsys, tol):
+    # --tol inf once printed an OK row: series_fee 2.118 against a fee of 10.
+    code, out, err = run_cli(capsys, ["revenue", *BASE, f"--tol={tol}"])
+    assert code == 2
+    assert out == ""
+    assert "truncation tolerance" in err
+
+
+def test_breakdown_fields_are_revenue_columns():
+    # _revenue_rows spreads the breakdown's _asdict() into its row.
+    fields = list(closed_form_revenue(make_params((10.0, 0.0, 1.0)))._asdict())
+    assert fields == [
+        "sale_price_component", "fee_component", "total", "hazard", "expected_entrants",
+        "expected_length",
+    ]
+    assert set(fields) <= set(cli.TABLES["revenue"].columns)
+
+
 UNDERFLOW = "win ratio u(bid_fee) / u(value - sale_price) underflows to 0"
 
 
@@ -630,26 +649,34 @@ def test_cli_import_leaves_the_process_pool_out():
     assert proc.returncode == 0, proc.stderr
 
 
+CLOSED_FORM_POINT = ["--n", "4", "--value", "10", "--bid-fee", "1", "--rho=-0.1"]
+
+
 @pytest.mark.parametrize(
     "argv,last_row",
     [
-        (["equilibrium"], {"k": 4}),
-        (["revenue", "--replications", "0"], {"status": "OK", "replications": 0}),
-        (["attrition", "--replications", "0"], {"status": "OK", "replications": 0}),
+        (["equilibrium", *CLOSED_FORM_POINT], {"k": 4}),
+        (["revenue", "--replications", "0", *CLOSED_FORM_POINT],
+         {"status": "OK", "replications": 0}),
+        (["attrition", "--replications", "0", *CLOSED_FORM_POINT],
+         {"status": "OK", "replications": 0}),
+        # The benchmark's null command, which times start-up.
+        (["equilibrium", "--n", "2", "--value", "2", "--bid-fee", "1"], {"k": 2}),
     ],
-    ids=["equilibrium", "revenue", "attrition"],
+    ids=["equilibrium", "revenue", "attrition", "null-command"],
 )
 def test_closed_forms_run_without_numpy(argv, last_row):
-    # The closed forms and the attrition chain are scalar arithmetic, and
-    # numpy's import alone costs a process about 0.18 s.
-    argv = [*argv, "--n", "4", "--value", "10", "--bid-fee", "1", "--rho=-0.1"]
+    # The closed forms and the attrition chain are scalar arithmetic.
+    # numpy's import alone costs a process about 0.16 s, and that of
+    # dataclasses, which imports inspect, about 17 ms.
     proc = subprocess.run(
         [
             sys.executable, "-c",
             "import sys, paytobid.cli; "
             f"code = paytobid.cli.main({argv!r}); "
             "assert code == 0, code; "
-            "assert 'numpy' not in sys.modules",
+            "loaded = [m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules]; "
+            "assert not loaded, loaded",
         ],
         capture_output=True,
         text=True,
@@ -780,6 +807,14 @@ def expand(columns, blocks):
 @example("revenue", (["k"], [{"k": 1}]))
 @example("simulate", (["k"], [{"k": "},\n      {"}, {}]))
 @example("equilibrium", (["%s", "a%%b", "%"], [{"%s": [1, "%s"], "a%%b": "%d"}, {"%": []}]))
+# Two list columns, with a scalar column before, between and after them.
+@example("equilibrium", (["s", "k", "mid", "p", "end"],
+                         [{"s": "OK", "k": [2, 3], "mid": 0.5, "p": [0.25, None], "end": True}]))
+# Empty list columns: the block has no rows, and the blocks around it do.
+@example("revenue", (["a", "b", "c"], [{"c": 1}, {"a": [], "b": [], "c": 2}, {"c": 3}]))
+# % and " in a column name and in a string cell, scalar and listed.
+@example("attrition", (['%"s', 'a"b%', "c"],
+                       [{'%"s': ['"%s"', "100%"], 'a"b%': '%(x)s"', "c": [1, 2]}]))
 def test_json_render_matches_indented_dumps(command, table):
     columns, blocks = table
     payload = {"command": command, "rows": expand(columns, blocks)}
@@ -910,6 +945,21 @@ def run_configs(draw, edge):
     return flags, doc, draw(st.sampled_from(["json", "lines"]))
 
 
+def reads_non_finite(flags, doc, key):
+    """Whether a run reads the float setting key as NaN or +-inf.
+
+    A flag or a key = value line reads an integer past the float range
+    as infinite (a JSON file refuses it), and a bool is refused anyway.
+    """
+    prefix = f"--{key.replace('_', '-')}="
+    texts = [flag[len(prefix):] for flag in flags if flag.startswith(prefix)]
+    text = texts[0] if texts else str(doc.get(key, 0.0))
+    try:
+        return not math.isfinite(float(text))
+    except ValueError:  # "True" or "False"
+        return False
+
+
 # simulate runs only at FAST_POINT: the tiny-hazard points of the domain
 # can still bid on toward the round cap.
 @pytest.mark.parametrize("edge", list(ACCEPTED))
@@ -933,6 +983,8 @@ def test_run_settings_exit_cleanly(tmp_path, command, edge):
                 code = exc.code
         assert code in (0, 2, 3), err.getvalue()
         assert code == 0 or out.getvalue() == ""
+        if command == "revenue" and reads_non_finite(flags, doc, "tol"):
+            assert code == 2, "a tolerance that is not finite cannot bound the series"
         if any(isinstance(v, bool) for v in doc.values()):
             assert code == 2, "a config file's true or false is not a setting"
         if encoding == "json" and any(

@@ -1,19 +1,25 @@
 """Equilibrium mixing probabilities and their bisection cross-check."""
 
 import inspect
+import math
+import pickle
 
 import pytest
 
 from paytobid import (
     AuctionParams,
+    CarlUtility,
     EquilibriumPolicy,
     ParameterError,
+    RiskCoefficient,
     RiskCoefficientError,
     bid_probability,
+    closed_form_revenue,
     indifference_residual,
     solve_equilibrium_by_bisection,
     win_probability,
 )
+from paytobid.equilibrium import round_odds
 
 from helpers import FEASIBLE_COMBOS, FULL_COMBOS, MONEY_GRID, make_params, mp_utility
 
@@ -50,6 +56,72 @@ def test_non_integer_player_count_rejected():
         AuctionParams(n=2.0, value=10.0, sale_price=0.0, bid_fee=1.0)
     with pytest.raises(ParameterError):
         AuctionParams(n=True, value=10.0, sale_price=0.0, bid_fee=1.0)
+
+
+# ---------------------------------------------------------------------------
+# The records: frozen tuples, and the checked ones checked on every path.
+# ---------------------------------------------------------------------------
+
+PARAMS = AuctionParams(n=3, value=10.0, sale_price=0.0, bid_fee=1.0, rho=-0.1)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        PARAMS,
+        RiskCoefficient(-0.1),
+        CarlUtility.from_value(-0.1),
+        EquilibriumPolicy.from_params(PARAMS),
+        closed_form_revenue(PARAMS),
+    ],
+    ids=lambda record: type(record).__name__,
+)
+def test_records_are_frozen(record):
+    field = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.note = "a record holds its fields only"
+
+
+@pytest.mark.parametrize(
+    "change,error",
+    [
+        (dict(n=1), ParameterError),
+        (dict(n=3.0), ParameterError),
+        (dict(value=math.nan), ParameterError),
+        (dict(bid_fee=10.0), ParameterError),
+        (dict(rho=0.1), RiskCoefficientError),
+    ],
+)
+def test_replace_and_make_check_the_params(change, error):
+    with pytest.raises(error):
+        PARAMS._replace(**change)
+    with pytest.raises(error):
+        AuctionParams._make({**PARAMS._asdict(), **change}.values())
+    assert PARAMS._replace(n=4) == AuctionParams(4, 10.0, 0.0, 1.0, -0.1)
+
+
+def test_unpickling_checks_the_params():
+    copy = pickle.loads(pickle.dumps(PARAMS))
+    assert copy == PARAMS and type(copy) is AuctionParams
+    # A tuple laid out as params with n = 1, built around the checks:
+    # loading its pickle calls AuctionParams again.
+    forged = tuple.__new__(AuctionParams, (1, 10.0, 0.0, 1.0, -0.1))
+    with pytest.raises(ParameterError):
+        pickle.loads(pickle.dumps(forged))
+
+
+def test_params_equality_hash_and_repr():
+    same = AuctionParams(3, 10.0, 0.0, 1.0, -0.1)
+    assert same == PARAMS and hash(same) == hash(PARAMS)
+    assert AuctionParams(4, 10.0, 0.0, 1.0, -0.1) != PARAMS
+    # The hash of the tuple of fields, as the frozen dataclass it was had.
+    assert hash(PARAMS) == hash((3, 10.0, 0.0, 1.0, -0.1))
+    assert repr(PARAMS) == (
+        "AuctionParams(n=3, value=10.0, sale_price=0.0, bid_fee=1.0, rho=-0.1)"
+    )
+    assert AuctionParams(3, 10.0, 0.0, 1.0).rho == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +195,16 @@ def test_policy_table_matches_pointwise_formula():
     for k, p in policy.bid_prob.items():
         assert p == pytest.approx(bid_probability(params, k), rel=1e-15)
         assert p == pytest.approx(1.0 - policy.win_prob ** (1.0 / (k - 1)), rel=1e-12)
+
+
+@pytest.mark.parametrize("rho", [0.0, -0.02, -0.1])
+def test_policy_table_is_round_odds_bit_for_bit(rho):
+    params = make_params(MONEY_GRID[1], rho=rho, n=20_000)
+    policy = EquilibriumPolicy.from_params(params)
+    log_lam = math.log(policy.win_prob)
+    assert list(policy.bid_prob) == list(range(2, 20_001))
+    differ = [k for k, p in policy.bid_prob.items() if p.hex() != round_odds(log_lam, k).bid.hex()]
+    assert not differ, differ[:5]
 
 
 def test_policy_takes_no_wealth_input():

@@ -1,5 +1,7 @@
 """Revenue: hazard, entrants, series vs closed form, comparative statics."""
 
+import math
+
 import pytest
 
 from paytobid import (
@@ -130,6 +132,14 @@ def test_series_refuses_a_vanishing_hazard(n):
 def test_series_requires_positive_tolerance():
     with pytest.raises(ParameterError):
         revenue_series(make_params(MONEY_GRID[0]), truncation_tol=0.0)
+
+
+@pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan])
+def test_series_refuses_a_non_finite_tolerance(tol):
+    # An infinite tolerance once stopped the series after one term, and
+    # the CLI's check then forgave any gap to the closed form.
+    with pytest.raises(ParameterError):
+        revenue_series(make_params(MONEY_GRID[0]), truncation_tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Utility kernel: frozen spot values, algebraic identities, error paths."""
 
 import math
+import pickle
 
 import pytest
 from hypothesis import example, given, settings
@@ -203,6 +204,27 @@ def test_input_errors_are_one_family():
     # The CLI reports every ParameterError, a bad rho included, with exit 2.
     assert issubclass(RiskCoefficientError, ParameterError)
     assert utility.ParameterError is equilibrium.ParameterError is paytobid.ParameterError
+
+
+@pytest.mark.parametrize("bad", [0.1, math.nan, math.inf])
+def test_every_copy_of_a_risk_coefficient_is_checked(bad):
+    rho = RiskCoefficient(-0.1)
+    with pytest.raises(RiskCoefficientError):
+        rho._replace(value=bad)
+    with pytest.raises(RiskCoefficientError):
+        RiskCoefficient._make([bad])
+    forged = tuple.__new__(RiskCoefficient, (bad,))  # built around the check
+    with pytest.raises(RiskCoefficientError):
+        pickle.loads(pickle.dumps(forged))
+    assert pickle.loads(pickle.dumps(rho)) == rho
+
+
+def test_kernel_equality_hash_and_repr():
+    kernel = CarlUtility.from_value(-0.1)
+    assert kernel == CarlUtility(RiskCoefficient(-0.1))
+    assert hash(kernel) == hash(CarlUtility(RiskCoefficient(-0.1)))
+    assert kernel != CarlUtility.from_value(-0.2)
+    assert repr(kernel) == "CarlUtility(rho=RiskCoefficient(value=-0.1))"
 
 
 def test_non_finite_rho_rejected():

@@ -3,7 +3,10 @@
 Closed-form equilibrium bid probabilities, seller revenue and
 no-re-entry attrition dynamics for the bid/no-bid fee auction with
 risk-loving (CARL) bidders, cross-validated by an exact Monte Carlo
-simulator of the round-based game.
+simulator of the round-based game.  The package holds what the CLI and
+the paper's results run; the test suite keeps its own independent
+references, a scalar one-game engine and a bisection of the
+indifference condition.
 
 Every exported name loads its submodule on first use (PEP 562), and
 importing the package loads no submodule.  Only the Monte Carlo needs
@@ -22,17 +25,13 @@ _EXPORTS = {
     ),
     "equilibrium": (
         "DEFAULT_ROUND_CAP", "AuctionParams", "EquilibriumPolicy", "GameMode",
-        "bid_probability", "indifference_residual", "solve_equilibrium_by_bisection",
-        "win_probability",
+        "bid_probability", "win_probability",
     ),
     "revenue": (
-        "RevenueBreakdown", "SeriesLengthError", "closed_form_revenue", "expected_entrants",
-        "hazard_rate", "revenue_series", "revenue_supremum",
+        "RevenueBreakdown", "SeriesLengthError", "closed_form_revenue", "revenue_series",
+        "revenue_supremum",
     ),
-    "simulator": (
-        "GameRecord", "PolicyCoverageError", "RoundOutcome", "SimulationResult",
-        "play_one_game", "run_replications",
-    ),
+    "simulator": ("SimulationResult", "run_replications"),
     "utility": (
         "CarlUtility", "ParameterError", "RiskCoefficient", "RiskCoefficientError",
         "UtilityRangeError",

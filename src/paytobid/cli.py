@@ -293,7 +293,7 @@ def _simulate_rows(cfg: argparse.Namespace, params: AuctionParams) -> List[Block
         params, GameMode(cfg.mode), cfg.replications, cfg.seed, cfg.round_cap,
         initial_wealth=cfg.initial_wealth,
     )
-    return [{"mode": cfg.mode, "seed": cfg.seed, "round_cap": cfg.round_cap, **vars(result)}]
+    return [{"mode": cfg.mode, "seed": cfg.seed, "round_cap": cfg.round_cap, **result._asdict()}]
 
 
 class TableSpec(NamedTuple):

@@ -10,9 +10,8 @@ CARL utility kernel.  The ratio lambda = u(c)/u(v-s) is also the
 probability that any bidding player wins the object in a given round,
 independent of k.  round_odds derives every per-round figure of the
 game from log lambda: p(k), the chance that somebody bids, the expected
-bids of a round and the chance that it ends the game.  A bisection
-solver provides an independent check of the closed form through the
-indifference condition.
+bids of a round and the chance that it ends the game.  The tests check
+p(k) independently, by bisection on the indifference condition.
 """
 
 from __future__ import annotations
@@ -197,41 +196,3 @@ class EquilibriumPolicy(NamedTuple):
         table = {k: _bid(log_lam, k) for k in range(2, params.n + 1)}
         return cls(win_prob=lam, bid_prob=table)
 
-
-def indifference_residual(params: AuctionParams, k: int, p: float) -> float:
-    """Gap between the utility of bidding and of staying out at mix p.
-
-    Returns u(value - sale_price) * (1 - p)**(k - 1) - u(bid_fee).
-    Strictly decreasing in p, zero exactly at the equilibrium mix.
-    """
-    require_active_count(k)
-    if not 0.0 <= p <= 1.0:
-        raise ParameterError(f"mixing probability must lie in [0, 1], got {p!r}")
-    u = params.utility
-    prize = u.evaluate(params.value - params.sale_price)
-    return prize * (1.0 - p) ** (k - 1) - u.evaluate(params.bid_fee)
-
-
-def solve_equilibrium_by_bisection(
-    params: AuctionParams, k: int, tol: float = 1e-10
-) -> float:
-    """Root of the indifference condition, found without the closed form.
-
-    The residual is positive at p -> 0 and negative at p -> 1 for any
-    valid parameter set, and strictly monotone in between, so plain
-    bisection on [1e-15, 1 - 1e-15] converges to the unique root.
-    """
-    require_active_count(k)
-    if not tol > 0:
-        raise ParameterError(f"tolerance must be positive, got {tol!r}")
-    lo, hi = 1e-15, 1.0 - 1e-15
-    while (hi - lo) / 2.0 > tol:
-        mid = (lo + hi) / 2.0
-        r = indifference_residual(params, k, mid)
-        if r > 0.0:
-            lo = mid
-        elif r < 0.0:
-            hi = mid
-        else:
-            return mid
-    return (lo + hi) / 2.0

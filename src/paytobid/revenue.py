@@ -1,12 +1,13 @@
-"""Seller revenue: hazard rate, entrants per round, fee series, closed form.
+"""Seller revenue: the closed form, its supremum and the fee series.
 
 An "effective round" is a round conditioned on at least one bid
 (all-pass rounds are replayed under the tie-breaking rule, so they
 carry no fees and no information).  With stationary mixing the game
 length is geometric in the hazard rate and the fee income telescopes
 into the closed form s + c * u(v - s) / u(c).  The per-round figures
-come from equilibrium.round_odds, and the fee series is summed in
-closed form, so this module is scalar arithmetic and needs no numpy.
+of k active players, the hazard and the expected entrants among them,
+are fields of equilibrium.odds_at(params, k).  The fee series is summed
+in closed form, so this module is scalar arithmetic and needs no numpy.
 """
 
 from __future__ import annotations
@@ -39,25 +40,6 @@ class RevenueBreakdown(NamedTuple):
     hazard: float
     expected_entrants: float
     expected_length: float
-
-
-def hazard_rate(params: AuctionParams, k: int) -> float:
-    """Chance an effective round ends the game (exactly one bid).
-
-    k * p * (1-p)**(k-1) / (1 - (1-p)**k), the probability of a single
-    bidder conditional on not all k players passing; it equals
-    lambda * expected_entrants, so it is never below lambda.
-    """
-    return odds_at(params, k).hazard
-
-
-def expected_entrants(params: AuctionParams, k: int) -> float:
-    """Expected number of fee-paying bids in an effective round.
-
-    k * p / (1 - (1-p)**k); always above k * p because conditioning on
-    at least one bid removes the zero-bid outcome, and never above k.
-    """
-    return odds_at(params, k).entrants
 
 
 def revenue_series(

@@ -8,18 +8,17 @@ one bidder ends the game: that player wins the object and pays the
 sale price.  With re-entry the active set is always the full roster;
 without it, the active set of the next round is the set of bidders.
 
-Two engines play these rules.  ``play_one_game`` is the scalar
-reference: one game, one Python loop, a full per-round log on request.
-``run_replications`` plays games with numpy.  Replications are cut into
+``run_replications`` plays these rules with numpy; the tests keep a
+scalar one-game engine as their reference.  Replications are cut into
 consecutive blocks whose size depends only on the mode and n, and block
 b owns the counter-based random stream derived from (master_seed, b).
 A block is played in one lockstep loop: each step is one raw round of
 every running game of the block, and it asks the block's stream once,
 for the running games in slot order.
 
-With re-entry a step draws one row of n uniforms per game, as the
-scalar engine does, and the running games' bids are kept one row per
-player; a block holds at most BLOCK_SIZE * 64 (player, game) entries,
+With re-entry a step draws one row of n uniforms per game, one per
+player in roster order, and the running games' bids are kept one row
+per player; a block holds at most BLOCK_SIZE * 64 (player, game) entries,
 or one game where n is larger, which bounds memory.  Without re-entry
 the equilibrium is Markov in the active count k (Kemeny & Snell,
 *Finite Markov Chains*, 1960), so a game keeps only k and a step draws
@@ -36,8 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import List, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -55,50 +53,11 @@ from .equilibrium import (
 RAW_ROUND_BUDGET = 10**11
 
 
-class PolicyCoverageError(LookupError):
-    """The policy table lacks an entry for an active player count."""
-
-
 class RawRoundBudgetError(ArithmeticError):
     """A run would be expected to play more than RAW_ROUND_BUDGET raw rounds."""
 
 
-@dataclass(frozen=True)
-class RoundOutcome:
-    """One effective round: who bid, out of how many, after how many replays."""
-
-    effective_round_index: int
-    resubmission_count: int
-    bidder_ids: frozenset
-    active_count_before: int
-    ended: bool
-
-
-@dataclass
-class GameRecord:
-    """Full account of a single game.
-
-    net_money[i] is player i's money change: -fee * own bids, plus
-    value - sale_price for the winner.  revenue is the seller's take:
-    fee * total bids, plus the sale price when somebody actually won.
-    rounds_to_at_most_two / reached_two_player_state are tracked only
-    without re-entry and with more than two starting players.
-    """
-
-    winner: Optional[int]
-    net_money: np.ndarray
-    revenue: float
-    bid_counts: np.ndarray
-    effective_length: int
-    raw_length: int
-    truncated: bool
-    rounds: Optional[List[RoundOutcome]]
-    rounds_to_at_most_two: Optional[int]
-    reached_two_player_state: bool
-
-
-@dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(NamedTuple):
     """Aggregates over completed replications, with CLT standard errors.
 
     Standard errors are sample-sd / sqrt(completed count).  Truncated
@@ -143,95 +102,6 @@ def _tracks_two_players(mode: GameMode, n: int) -> bool:
     return mode is GameMode.NO_REENTRY and n > 2
 
 
-def play_one_game(
-    params: AuctionParams,
-    mode: GameMode,
-    policy: EquilibriumPolicy,
-    rng_stream,
-    round_cap: int = DEFAULT_ROUND_CAP,
-    collect_rounds: bool = True,
-) -> GameRecord:
-    """Play a single game to completion (or to the round cap).
-
-    rng_stream needs one method, random(k) -> array of k uniforms, one
-    per active player in roster order; a numpy Generator fits.  Games
-    that hit the cap come back flagged as truncated with no winner and
-    no sale-price income, never silently dropped.
-    """
-    require_count(round_cap, 1, "round cap must be an integer >= 1, got {!r}")
-    n = params.n
-    track_two = _tracks_two_players(mode, n)
-    active = np.arange(n)
-    bid_counts = np.zeros(n, dtype=np.int64)
-    rounds: Optional[List[RoundOutcome]] = [] if collect_rounds else None
-    effective = 0
-    raw = 0
-    winner: Optional[int] = None
-    truncated = False
-    rounds_to_two: Optional[int] = None
-    reached_two = False
-
-    while True:
-        k = int(active.size)
-        p = policy.bid_prob.get(k)
-        if p is None:
-            raise PolicyCoverageError(
-                f"policy table has no bid probability for {k} active players"
-            )
-        resubmissions = 0
-        while True:
-            mask = rng_stream.random(k) < p
-            raw += 1
-            if mask.any():
-                break
-            resubmissions += 1  # all passed: replay the round
-        bidders = active[mask]
-        effective += 1
-        bid_counts[bidders] += 1
-        n_bid = int(bidders.size)
-        ended = n_bid == 1
-        if collect_rounds:
-            rounds.append(
-                RoundOutcome(
-                    effective_round_index=effective,
-                    resubmission_count=resubmissions,
-                    bidder_ids=frozenset(int(i) for i in bidders),
-                    active_count_before=k,
-                    ended=ended,
-                )
-            )
-        if track_two and rounds_to_two is None and n_bid <= 2:
-            rounds_to_two = effective
-        if ended:
-            winner = int(bidders[0])
-            break
-        if mode is GameMode.NO_REENTRY:
-            active = bidders
-            if n_bid == 2:
-                reached_two = True
-        if effective >= round_cap:
-            truncated = True
-            break
-
-    net = -params.bid_fee * bid_counts.astype(np.float64)
-    revenue = params.bid_fee * float(bid_counts.sum())
-    if winner is not None:
-        net[winner] += params.value - params.sale_price
-        revenue = params.sale_price + revenue
-    return GameRecord(
-        winner=winner,
-        net_money=net,
-        revenue=revenue,
-        bid_counts=bid_counts,
-        effective_length=effective,
-        raw_length=raw,
-        truncated=truncated,
-        rounds=rounds,
-        rounds_to_at_most_two=rounds_to_two if track_two else None,
-        reached_two_player_state=reached_two if track_two else False,
-    )
-
-
 # Replications per block without re-entry; block b of a run draws from stream b.
 BLOCK_SIZE = 4096
 
@@ -244,10 +114,10 @@ def _block_size(mode: GameMode, n: int) -> int:
 class BlockRecord(NamedTuple):
     """Per-game outcome arrays of a block, and the holdings of its players.
 
-    The per-game fields, one entry per replication, mirror GameRecord
-    without the round log.  rounds_to_at_most_two is 0 while a game has
-    not reached two or fewer bidders, and like reached_two_player_state
-    is tracked only where _tracks_two_players holds.
+    The per-game fields hold one entry per replication.
+    rounds_to_at_most_two is 0 while a game has not reached two or fewer
+    bidders, and like reached_two_player_state is tracked only where
+    _tracks_two_players holds.
 
     A holding is a group of players of one game who end it alike:
     ``players`` players of game ``holder`` each made ``bid_counts`` bids,
@@ -286,16 +156,16 @@ def _play_block(
     size: int,
     round_cap: int,
 ) -> BlockRecord:
-    """Play a block of ``size`` games in lockstep under the rules of play_one_game.
+    """Play a block of ``size`` games in lockstep under the module's game rules.
 
     Each step is one raw round of every running game.  A round with no
     bid is replayed, a round with one bid ends its game, and a game
     stops flagged as truncated after ``round_cap`` effective rounds.
     A step asks ``rng`` once, for the running games in slot order.
-    With re-entry that is one row of n uniforms per game, compared
-    against p(n) as play_one_game does.  Without re-entry the
-    equilibrium is Markov in the active count, so a game keeps only its
-    count k and draws one binomial(k, p(k)) bidder count.
+    With re-entry that is one row of n uniforms per game, each compared
+    against p(n).  Without re-entry the equilibrium is Markov in the
+    active count, so a game keeps only its count k and draws one
+    binomial(k, p(k)) bidder count.
     """
     play = _play_count_block if mode is GameMode.NO_REENTRY else _play_roster_block
     return play(params, bid_prob, rng, size, round_cap)

@@ -11,7 +11,8 @@ from hypothesis import assume
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from paytobid import AuctionParams, hazard_rate
+from paytobid import AuctionParams
+from paytobid.equilibrium import odds_at
 
 # (value, sale_price, bid_fee) triples every analytic test sweeps.
 MONEY_GRID = [(10.0, 0.0, 1.0), (100.0, 5.0, 0.5), (10.0, 9.0, 0.5)]
@@ -46,7 +47,7 @@ MC_LENGTH_BUDGET = 2_000.0
 
 
 def expected_length(money, rho, n=3):
-    return 1.0 / hazard_rate(make_params(money, rho=rho, n=n), n)
+    return 1.0 / odds_at(make_params(money, rho=rho, n=n), n).hazard
 
 
 FULL_COMBOS = [(m, r) for m in MONEY_GRID for r in RHO_GRID]

@@ -14,7 +14,6 @@ Those combinations are checked in closed form only, and the exclusion
 rule itself is asserted here.
 """
 
-import dataclasses
 import json
 import subprocess
 import sys
@@ -26,12 +25,10 @@ from paytobid import (
     bid_probability,
     closed_form_revenue,
     expected_passage_time,
-    indifference_residual,
     prob_two_player_endgame,
     endgame_time_fraction,
     revenue_series,
     run_replications,
-    solve_equilibrium_by_bisection,
 )
 from paytobid.simulator import BLOCK_SIZE
 
@@ -51,6 +48,7 @@ from helpers import (
     mc_count_for,
     revenue_seed,
 )
+from reference import indifference_residual, solve_equilibrium_by_bisection
 
 
 def report(cid, ok, detail):
@@ -305,7 +303,7 @@ def test_c10_determinism():
     count = 4 * BLOCK_SIZE + 1_000
     first = run_replications(params, GameMode.NO_REENTRY, count, 123)
     second = run_replications(params, GameMode.NO_REENTRY, count, 123)
-    if json.dumps(dataclasses.asdict(first)) != json.dumps(dataclasses.asdict(second)):
+    if json.dumps(first._asdict()) != json.dumps(second._asdict()):
         problems.append("rerun differs")
     for workers in (2, 4):
         parallel = run_replications(params, GameMode.NO_REENTRY, count, 123, workers=workers)

@@ -16,9 +16,9 @@ from paytobid import (
     bid_probability,
     endgame_time_fraction,
     expected_passage_time,
-    hazard_rate,
     prob_two_player_endgame,
 )
+from paytobid.equilibrium import odds_at
 
 from helpers import (
     ATTRITION_POINTS,
@@ -94,7 +94,7 @@ def test_distribution_concentrates_on_everyone_bidding():
 @pytest.mark.parametrize("k", range(2, 11))
 def test_end_probability_equals_hazard_rate(money, rho, k):
     params = make_params(money, rho=rho, n=10)
-    assert abs(bid_count_distribution(params, k)[0] - hazard_rate(params, k)) <= 1e-12
+    assert abs(bid_count_distribution(params, k)[0] - odds_at(params, k).hazard) <= 1e-12
 
 
 def test_end_probability_spot_values():

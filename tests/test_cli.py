@@ -11,7 +11,7 @@ import sys
 from datetime import timedelta
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -30,6 +30,11 @@ from paytobid.cli import main
 from helpers import domain_points, make_params
 
 BASE = ["--n", "3", "--value", "10", "--sale-price", "0", "--bid-fee", "1"]
+
+# The phases of the slow property tests: every phase but shrinking, so a
+# failure is reported as first found, in seconds rather than minutes of
+# shrinking.  Each test still draws all of its max_examples when it passes.
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
 
 
 def run_cli(capsys, argv):
@@ -685,6 +690,37 @@ def test_closed_forms_run_without_numpy(argv, last_row):
     assert last_row.items() <= json.loads(proc.stdout)["rows"][-1].items()
 
 
+def test_simulate_runs_without_dataclasses():
+    # Every record of the package is a NamedTuple; dataclasses costs a
+    # process its import, about 17 ms, and the simulator needs none.
+    argv = ["simulate", *CLOSED_FORM_POINT, "--replications", "1"]
+    proc = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, paytobid.cli; "
+            f"code = paytobid.cli.main({argv!r}); "
+            "assert code == 0, code; "
+            "assert 'numpy' in sys.modules; "
+            "assert 'dataclasses' not in sys.modules",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (row,) = json.loads(proc.stdout)["rows"]
+    assert (row["status"], row["replications"]) == ("OK", 1)
+
+
+# Names the package no longer exports: the scalar game and the bisection
+# are the tests' references (tests/reference.py), and the hazard and the
+# entrants are fields of equilibrium.odds_at.
+GONE_FROM_THE_PACKAGE = (
+    "GameRecord", "PolicyCoverageError", "RoundOutcome", "play_one_game",
+    "indifference_residual", "solve_equilibrium_by_bisection", "hazard_rate",
+    "expected_entrants",
+)
+
+
 def test_every_exported_name_resolves():
     # A fresh process, so the lazy names are looked up before anything
     # else has imported their submodules.
@@ -699,12 +735,18 @@ def test_every_exported_name_resolves():
             "assert paytobid.run_replications is simulator.run_replications\n"
             "assert paytobid.GameMode is simulator.GameMode\n"
             "assert paytobid.attrition_profile is attrition.attrition_profile\n"
-            "try:\n"
-            "    paytobid.no_such_name\n"
-            "except AttributeError:\n"
-            "    pass\n"
-            "else:\n"
-            "    raise AssertionError('no_such_name resolved')\n",
+            "from importlib import import_module\n"
+            "for module, names in paytobid._EXPORTS.items():\n"
+            "    home = import_module('paytobid.' + module)\n"
+            "    for name in names:\n"
+            "        assert getattr(paytobid, name) is getattr(home, name), name\n"
+            f"for name in {GONE_FROM_THE_PACKAGE!r} + ('no_such_name',):\n"
+            "    try:\n"
+            "        getattr(paytobid, name)\n"
+            "    except AttributeError:\n"
+            "        pass\n"
+            "    else:\n"
+            "        raise AssertionError(name + ' resolved')\n",
         ],
         capture_output=True,
         text=True,
@@ -715,16 +757,14 @@ def test_every_exported_name_resolves():
 def test_exported_names_are_pinned():
     assert set(paytobid.__all__) == {
         "AttritionProfile", "AuctionParams", "CarlUtility", "DEFAULT_ROUND_CAP",
-        "EquilibriumPolicy", "GameMode", "GameRecord", "ParameterError", "PolicyCoverageError",
-        "RevenueBreakdown", "RiskCoefficient", "RiskCoefficientError", "RoundOutcome",
-        "SeriesLengthError", "SimulationResult", "UtilityRangeError", "attrition_profile",
-        "bid_count_distribution", "bid_probability", "closed_form_revenue",
-        "endgame_time_fraction", "expected_entrants", "expected_passage_time", "hazard_rate",
-        "indifference_residual", "play_one_game", "prob_two_player_endgame", "revenue_series",
-        "revenue_supremum", "run_replications", "solve_equilibrium_by_bisection",
+        "EquilibriumPolicy", "GameMode", "ParameterError", "RevenueBreakdown",
+        "RiskCoefficient", "RiskCoefficientError", "SeriesLengthError", "SimulationResult",
+        "UtilityRangeError", "attrition_profile", "bid_count_distribution", "bid_probability",
+        "closed_form_revenue", "endgame_time_fraction", "expected_passage_time",
+        "prob_two_player_endgame", "revenue_series", "revenue_supremum", "run_replications",
         "win_probability",
     }
-    assert len(paytobid.__all__) == 32
+    assert len(paytobid.__all__) == 24
 
 
 def test_package_import_loads_no_submodule():
@@ -801,7 +841,7 @@ def expand(columns, blocks):
     return rows
 
 
-@settings(max_examples=300)
+@settings(max_examples=300, phases=NO_SHRINK)
 @given(st.sampled_from(list(cli.TABLES)), tables())
 @example("equilibrium", (["k"], []))
 @example("revenue", (["k"], [{"k": 1}]))
@@ -830,7 +870,7 @@ def csv_writer_text(columns, rows):
     return buf.getvalue()
 
 
-@settings(max_examples=300)
+@settings(max_examples=300, phases=NO_SHRINK)
 @given(st.sampled_from(list(cli.TABLES)), tables())
 @example("equilibrium", (["k"], []))
 @example("equilibrium", (["%s", "a,b"], [{"%s": [1, "x\ny"], "a,b": '"'}, {"%s": []}]))
@@ -880,7 +920,7 @@ def test_long_equilibrium_csv_is_byte_identical_to_csv_writer(capsys):
 # game may still bid on to its round cap of 10^7 effective rounds.
 @pytest.mark.parametrize("command", ["equilibrium", "revenue", "attrition"])
 def test_valid_domain_exits_cleanly(command):
-    @settings(max_examples=100, deadline=timedelta(seconds=5))
+    @settings(max_examples=100, deadline=timedelta(seconds=5), phases=NO_SHRINK)
     @given(domain_points())
     def check(flags):
         out, err = io.StringIO(), io.StringIO()
@@ -967,7 +1007,7 @@ def reads_non_finite(flags, doc, key):
 def test_run_settings_exit_cleanly(tmp_path, command, edge):
     config = tmp_path / "run.cfg"
 
-    @settings(max_examples=50, deadline=timedelta(seconds=5))
+    @settings(max_examples=50, deadline=timedelta(seconds=5), phases=NO_SHRINK)
     @given(run_configs(edge))
     def check(case):
         flags, doc, encoding = case
@@ -1011,7 +1051,7 @@ OVERFLOWING_UTILITY = ["--n=10", "--value=1e+267", "--sale-price=0.0",
                        "--bid-fee=9.999999999999999e+266", "--rho=-1e-265"]
 
 
-@settings(max_examples=100, deadline=timedelta(seconds=5))
+@settings(max_examples=100, deadline=timedelta(seconds=5), phases=NO_SHRINK)
 @given(domain_points())
 @example(EXIT_0_EDGES[0])
 @example(EXIT_0_EDGES[1])

@@ -15,13 +15,12 @@ from paytobid import (
     RiskCoefficientError,
     bid_probability,
     closed_form_revenue,
-    indifference_residual,
-    solve_equilibrium_by_bisection,
     win_probability,
 )
 from paytobid.equilibrium import round_odds
 
 from helpers import FEASIBLE_COMBOS, FULL_COMBOS, MONEY_GRID, make_params, mp_utility
+from reference import indifference_residual, solve_equilibrium_by_bisection
 
 
 # ---------------------------------------------------------------------------
@@ -263,3 +262,12 @@ def test_bisection_validates_inputs():
         solve_equilibrium_by_bisection(params, 1, 1e-10)
     with pytest.raises(ParameterError):
         solve_equilibrium_by_bisection(params, 2, 0.0)
+
+
+@pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan])
+def test_bisection_refuses_a_non_finite_tolerance(tol):
+    # An infinite tolerance once stopped before the first halving and
+    # returned 0.5 here, where p(3) = 0.7526.
+    params = AuctionParams(3, 10.0, 0.0, 1.0, -0.1)
+    with pytest.raises(ParameterError, match="tolerance"):
+        solve_equilibrium_by_bisection(params, 3, tol=tol)

@@ -11,12 +11,11 @@ from paytobid import (
     SeriesLengthError,
     bid_probability,
     closed_form_revenue,
-    expected_entrants,
-    hazard_rate,
     revenue_series,
     revenue_supremum,
     win_probability,
 )
+from paytobid.equilibrium import odds_at
 
 from helpers import (
     FEASIBLE_COMBOS,
@@ -42,7 +41,7 @@ def test_hazard_matches_enumeration_at_p09():
     params = two_player_params(0.1)  # p(2) = 0.9
     exactly_one, _ = enumerate_two_player_round(0.9)
     assert exactly_one == pytest.approx(0.18 / 0.99, rel=1e-15)  # frozen
-    assert hazard_rate(params, 2) == pytest.approx(exactly_one, rel=1e-12)
+    assert odds_at(params, 2).hazard == pytest.approx(exactly_one, rel=1e-12)
 
 
 def test_hazard_two_player_simplification():
@@ -50,15 +49,15 @@ def test_hazard_two_player_simplification():
     params = two_player_params(0.5)
     p = bid_probability(params, 2)
     assert p == pytest.approx(0.5, rel=1e-14)
-    assert hazard_rate(params, 2) == pytest.approx(2.0 / 3.0, rel=1e-12)
-    assert hazard_rate(params, 2) == pytest.approx(2 * (1 - p) / (2 - p), rel=1e-12)
+    assert odds_at(params, 2).hazard == pytest.approx(2.0 / 3.0, rel=1e-12)
+    assert odds_at(params, 2).hazard == pytest.approx(2 * (1 - p) / (2 - p), rel=1e-12)
 
 
 def test_hazard_vanishes_as_everyone_bids():
     # Huge value/fee ratio drives p toward 1 and the hazard toward 0.
     params = AuctionParams(n=2, value=1e6, sale_price=0.0, bid_fee=1.0, rho=0.0)
     p = bid_probability(params, 2)
-    h = hazard_rate(params, 2)
+    h = odds_at(params, 2).hazard
     assert h < 1e-5
     assert h == pytest.approx(2 * p * (1 - p) / (1 - (1 - p) ** 2), rel=1e-12)
 
@@ -66,10 +65,10 @@ def test_hazard_vanishes_as_everyone_bids():
 def test_expected_entrants_enumeration_values():
     _, mean_bids = enumerate_two_player_round(0.9)
     assert mean_bids == pytest.approx(1.8 / 0.99, rel=1e-15)  # frozen
-    assert expected_entrants(two_player_params(0.1), 2) == pytest.approx(mean_bids, rel=1e-12)
+    assert odds_at(two_player_params(0.1), 2).entrants == pytest.approx(mean_bids, rel=1e-12)
     _, mean_bids_half = enumerate_two_player_round(0.5)
     assert mean_bids_half == pytest.approx(4.0 / 3.0, rel=1e-15)  # frozen
-    assert expected_entrants(two_player_params(0.5), 2) == pytest.approx(
+    assert odds_at(two_player_params(0.5), 2).entrants == pytest.approx(
         mean_bids_half, rel=1e-12
     )
 
@@ -77,7 +76,7 @@ def test_expected_entrants_enumeration_values():
 def test_expected_entrants_approaches_everyone():
     # p -> 1: all k players bid in every effective round.
     params = AuctionParams(n=4, value=1e27, sale_price=0.0, bid_fee=1.0, rho=0.0)
-    assert expected_entrants(params, 4) == pytest.approx(4.0, abs=1e-6)
+    assert odds_at(params, 4).entrants == pytest.approx(4.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("money,rho", FEASIBLE_COMBOS)
@@ -85,7 +84,7 @@ def test_expected_entrants_approaches_everyone():
 def test_expected_entrants_bounds(money, rho, k):
     params = make_params(money, rho=rho, n=10)
     p = bid_probability(params, k)
-    q = expected_entrants(params, k)
+    q = odds_at(params, k).entrants
     assert k * p < q <= k
 
 
@@ -95,7 +94,7 @@ def test_expected_entrants_bounds(money, rho, k):
 
 def test_series_single_term_is_per_round_fee_flow():
     params = make_params(MONEY_GRID[0])
-    per_round = params.bid_fee * expected_entrants(params, params.n)
+    per_round = params.bid_fee * odds_at(params, params.n).entrants
     # A tolerance above the whole tail keeps exactly the first term.
     assert revenue_series(params, truncation_tol=1e9) == pytest.approx(per_round, rel=1e-15)
 
@@ -105,7 +104,7 @@ def test_series_at_a_hazard_within_an_ulp_of_1_is_one_term():
     # half an ulp of 1 (the kernel rounds it to 1), and every weight
     # after the first is below the rounding of the sum.
     params = AuctionParams(n=2, value=1.0, sale_price=0.0, bid_fee=0.9999999999999999, rho=0.0)
-    assert revenue_series(params) == params.bid_fee * expected_entrants(params, 2)
+    assert revenue_series(params) == params.bid_fee * odds_at(params, 2).entrants
 
 
 # Per-round routes need a desk-scale hazard: past the budget the
@@ -183,7 +182,7 @@ def test_per_round_flow_over_hazard_is_count_free(money, rho, n):
     params = make_params(money, rho=rho, n=n)
     p = bid_probability(params, n)
     flow_over_hazard = (
-        params.bid_fee * expected_entrants(params, n) / hazard_rate(params, n)
+        params.bid_fee * odds_at(params, n).entrants / odds_at(params, n).hazard
     )
     assert flow_over_hazard == pytest.approx(
         params.bid_fee / (1.0 - p) ** (n - 1), rel=1e-12

@@ -1,6 +1,5 @@
 """Game engine rules, stream determinism, aggregation, analytic oracles."""
 
-import dataclasses
 import inspect
 import math
 import tracemalloc
@@ -15,10 +14,8 @@ from paytobid import (
     EquilibriumPolicy,
     GameMode,
     ParameterError,
-    PolicyCoverageError,
     SimulationResult,
     closed_form_revenue,
-    play_one_game,
     run_replications,
 )
 from paytobid.simulator import (
@@ -31,6 +28,7 @@ from paytobid.simulator import (
 )
 
 from helpers import MC_COUNT, attrition_params, attrition_seed, make_params, revenue_seed
+from reference import PolicyCoverageError, play_one_game
 
 
 class ForcedStream:
@@ -290,10 +288,10 @@ def test_initial_wealth_changes_only_the_utility_estimate():
         params, GameMode.WITH_REENTRY, 2_000, 17, initial_wealth=5.0
     )
     changed = {"mean_player_utility", "se_player_utility", "initial_wealth"}
-    for field in dataclasses.fields(base):
-        if field.name in changed:
+    for field in base._fields:
+        if field in changed:
             continue
-        assert getattr(base, field.name) == getattr(shifted, field.name), field.name
+        assert getattr(base, field) == getattr(shifted, field), field
 
 
 @pytest.mark.parametrize("wealth", [math.nan, math.inf, -math.inf])
@@ -375,7 +373,7 @@ def test_figure_table_names_every_result_field():
     # other field of the result must be one it sets by name.
     named = ["replications", "truncated_replications", "initial_wealth"]
     figures = [name for pair in _FIGURES for name in pair]
-    fields = [field.name for field in dataclasses.fields(SimulationResult)]
+    fields = list(SimulationResult._fields)
     assert sorted(named + figures) == sorted(fields)
 
 
@@ -573,7 +571,7 @@ PINNED_RUNS = {
 def test_stream_contract_is_pinned(mode):
     params, seed, frozen = PINNED_RUNS[mode]
     result = run_replications(params, mode, 9_000, seed, initial_wealth=1.5)
-    assert dataclasses.asdict(result) == {
+    assert result._asdict() == {
         "replications": 9_000, "initial_wealth": 1.5, **frozen
     }
 

@@ -31,7 +31,6 @@ budget).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import itertools
@@ -52,7 +51,7 @@ from .revenue import DEFAULT_TRUNCATION_TOL, closed_form_revenue, revenue_series
 
 # Only a row function that needs the attrition chain or the Monte Carlo
 # loads its module: the simulator imports numpy, which costs a process
-# about 0.16 s, and compiling attrition.py without bytecode a few ms.
+# about 50 ms, and compiling attrition.py without bytecode a few ms.
 # The function is looked up when called, so a replacement set on the
 # module (a test double, a tracer) is the one that runs.
 def attrition_profile(*args, **kwargs):
@@ -448,6 +447,8 @@ def _json_block(columns: List[str], heads: List[str], block: Block) -> str:
 
 def render(command: str, columns: List[str], blocks: List[Block], fmt: str) -> str:
     if fmt == "csv":
+        import csv  # a JSON run never needs it
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
@@ -464,13 +465,22 @@ def render(command: str, columns: List[str], blocks: List[Block], fmt: str) -> s
     return f"{head}[\n{body}\n  ]\n}}\n" if body else f"{head}[]\n}}\n"
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone.
+
+    Given a command, every other subcommand is a bare stub with its name
+    and help, which is all that the top-level help and errors print, so
+    a run builds only the flags it can use.
+    """
     parser = argparse.ArgumentParser(
         prog="paytobid",
         description="Pay-to-bid auction tables: equilibrium, revenue, attrition, simulation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, spec in TABLES.items():
+        if command not in (None, name):
+            sub.add_parser(name, help=spec.help, add_help=False)
+            continue
         p = sub.add_parser(name, help=spec.help)
         p.add_argument("--config", help="config file (key = value lines or a JSON object)")
         for key, setting in SETTINGS.items():
@@ -482,8 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in TABLES else None).parse_args(argv)
     try:
         cfg = resolve_config(args)
         columns, blocks = COMMANDS[args.command](cfg)

@@ -14,17 +14,23 @@ consecutive blocks whose size depends only on the mode and n, and block
 b owns the counter-based random stream derived from (master_seed, b).
 A block is played in one lockstep loop: each step is one raw round of
 every running game of the block, and it asks the block's stream once,
-for the running games in slot order.
+for the running games in slot order.  The step does only what the next
+request needs; a game's outcome is written out once, when it ends or
+after the loop.
 
 With re-entry a step draws one row of n uniforms per game, one per
-player in roster order, and the running games' bids are kept one row
-per player; a block holds at most BLOCK_SIZE * 64 (player, game) entries,
-or one game where n is larger, which bounds memory.  Without re-entry
-the equilibrium is Markov in the active count k (Kemeny & Snell,
-*Finite Markov Chains*, 1960), so a game keeps only k and a step draws
-one binomial(k, p(k)) bidder count; players are then known only as
-holdings, groups who left in the same round with the same bids, and a
-block of BLOCK_SIZE games holds O(games + rounds) values whatever n is.
+player in roster order, and the running games are the columns of one
+state matrix: their bids per player, effective rounds and slots.  A
+block holds at most BLOCK_SIZE * 64 (player, game) entries, or one game
+where n is larger, which bounds memory.  Without re-entry the
+equilibrium is Markov in the active count k (Kemeny & Snell, *Finite
+Markov Chains*, 1960), so a game keeps only k and its effective rounds,
+and a step draws one binomial(k, p(k)) bidder count.  Players are then
+known only as holdings, groups who left in the same round with the same
+bids.  A step logs only the rounds in which players left or the cap was
+hit, and one pass over that round log builds the block's outcome, so a
+block of BLOCK_SIZE games holds O(n * games) values at most, and
+O(games) for any n once play is down to two players.
 Workers receive whole blocks and the reduction runs in replication
 order, so results are bit-reproducible and independent of the worker
 count.  _tracks_two_players says which games report two-player figures.
@@ -127,7 +133,9 @@ class BlockRecord(NamedTuple):
     carry no labels: the arrays are flat, with one holding per group of
     players who stopped in the same round and one for the winner (or for
     the survivors at the round cap), and winner is the flat index of the
-    winner's holding.  winner is -1 for a truncated game.
+    winner's holding.  The holdings of one game appear in the order the
+    game closed them, its final holding last, though games interleave.
+    winner is -1 for a truncated game, and only for one.
     """
 
     winner: np.ndarray
@@ -165,7 +173,10 @@ def _play_block(
     With re-entry that is one row of n uniforms per game, each compared
     against p(n).  Without re-entry the equilibrium is Markov in the
     active count, so a game keeps only its count k and draws one
-    binomial(k, p(k)) bidder count.
+    binomial(k, p(k)) bidder count.  Either engine keeps the running
+    games' state compact in slot order and tests the cap only from step
+    ``round_cap`` on, since a game plays at most one effective round per
+    step.
     """
     play = _play_count_block if mode is GameMode.NO_REENTRY else _play_roster_block
     return play(params, bid_prob, rng, size, round_cap)
@@ -189,41 +200,42 @@ def _net_money(params: AuctionParams, bid_counts: np.ndarray, won: np.ndarray) -
 def _play_roster_block(params, bid_prob, rng, size, round_cap) -> BlockRecord:
     """_play_block with re-entry: every player draws in every raw round.
 
-    The bids of the running games are kept as an (n x running) array, so
-    counting bidders sums whole rows and a replay, an all-False column,
-    adds nothing.  A game's counts are written out when it ends.
+    The running games are the columns of one state matrix: a row of bids
+    so far per player, then the effective rounds and the game's slot.
+    No entry passes round_cap or size, so the matrix is int32 unless the
+    cap needs int64.  A step adds the round's bids to the player rows, so
+    a replay, a round without a bid, adds nothing.  A game's column is
+    written out when it ends, and a game that ends without a sole bidder
+    hit the round cap, which no game can reach before step round_cap.
     """
     n = params.n
-    slots = np.arange(size)  # the running games
+    state = np.zeros((n + 2, size), dtype=np.int32 if round_cap < 2**31 else np.int64)
+    state[n + 1] = np.arange(size)
     uniforms = np.empty((size, n))
-    counts = np.zeros((n, size), dtype=np.int64)  # bids so far, follows slots
-    played = np.zeros(size, dtype=np.int64)  # effective rounds so far, follows slots
-    bid_counts = np.empty((size, n), dtype=np.int64)
-    effective = np.empty(size, dtype=np.int64)
+    count_type = np.min_scalar_type(n)  # holds a round's bidder count
+    ended = np.empty((size, n + 1), dtype=np.int64)  # bids per player, then effective rounds
     raw = np.empty(size, dtype=np.int64)
     winner = np.full(size, -1, dtype=np.int64)
-    truncated = np.zeros(size, dtype=bool)
     step = 0
-    while slots.size:
+    while state.shape[1]:
         step += 1
-        rng.random(out=uniforms[: slots.size])
-        bids = (uniforms[: slots.size] < bid_prob[n]).T.copy()
-        n_bid = bids.sum(axis=0)
-        counts += bids
-        played += n_bid > 0
-        ended = n_bid == 1
-        done = ended | (played >= round_cap)
+        bids = (rng.random(out=uniforms[: state.shape[1]]) < bid_prob[n]).T.copy()
+        n_bid = bids.sum(axis=0, dtype=count_type)
+        state[:n] += bids
+        state[n] += n_bid > 0
+        done = n_bid == 1
+        if step >= round_cap:
+            done |= state[n] >= round_cap
         d = np.flatnonzero(done)
         if d.size:
-            g, won = slots[d], ended[d]
-            bid_counts[g] = counts[:, d].T
-            effective[g] = played[d]
+            g = state[n + 1, d]
+            ended[g] = state[: n + 1, d].T
             raw[g] = step  # every step was a raw round of each game
-            winner[g[won]] = bids[:, d[won]].argmax(axis=0)
-            truncated[g] = ~won
-            keep = ~done
-            counts, played, slots = np.compress(keep, counts, axis=1), played[keep], slots[keep]
+            sole = n_bid[d] == 1
+            winner[g[sole]] = bids[:, d[sole]].argmax(axis=0)
+            state = np.take(state, np.flatnonzero(~done), axis=1)
 
+    bid_counts = ended[:, :n]
     sold = np.flatnonzero(winner >= 0)
     won = np.zeros((size, n), dtype=bool)
     won[sold, winner[sold]] = True
@@ -231,9 +243,9 @@ def _play_roster_block(params, bid_prob, rng, size, round_cap) -> BlockRecord:
     return BlockRecord(
         winner=winner,
         revenue=_revenue(params, winner, bid_counts.sum(axis=1)),
-        effective_length=effective,
+        effective_length=ended[:, n],
         raw_length=raw,
-        truncated=truncated,
+        truncated=winner < 0,
         rounds_to_at_most_two=untracked,
         reached_two_player_state=untracked.astype(bool),
         holder=np.broadcast_to(np.arange(size)[:, None], (size, n)),
@@ -251,56 +263,71 @@ def _play_count_block(params, bid_prob, rng, size, round_cap) -> BlockRecord:
     good holding one bid fewer than the rounds played, since they bid
     in every round before.  m = 1 ends the game with the winner holding
     one bid per round; at the round cap the m survivors hold as much and
-    nothing is sold.  A block holds O(size + effective rounds) values
-    whatever the player count.
+    nothing is sold.
+
+    A step updates the active count and effective rounds of every running
+    game in place, and logs (game, k, m, rounds) of each round in which
+    players stopped or the game hit the cap.  One pass over the log after
+    the loop builds the holdings and the per-game arrays.  A game logs at
+    most n rounds, and none while its count stays put, so a long
+    two-player endgame adds nothing to the block's memory.
     """
     n = params.n
-    track_two = _tracks_two_players(GameMode.NO_REENTRY, n)
     slots = np.arange(size)  # the running games
     active = np.full(size, n, dtype=np.int64)  # active count, follows slots
-    total_bids = np.zeros(size, dtype=np.int64)
-    effective = np.zeros(size, dtype=np.int64)
-    raw = np.zeros(size, dtype=np.int64)
-    truncated = np.zeros(size, dtype=bool)
-    rounds_to_two = np.zeros(size, dtype=np.int64)
-    reached_two = np.zeros(size, dtype=bool)
-    held = []  # (holder, players, bid_counts, won) of the holdings closed per step
+    rounds = np.zeros(size, dtype=np.int64)  # effective rounds so far, follows slots
+    raw = np.empty(size, dtype=np.int64)
+    log = []  # (game, k, m, rounds) of the rounds in which players stopped or the cap hit
     step = 0
     while slots.size:
         step += 1
         bidders = rng.binomial(active, bid_prob[active])
-        played = np.flatnonzero(bidders)  # games that made an effective round
-        g, k, m = slots[played], active[played], bidders[played]
-        effective[g] += 1
-        rounds = effective[g]
-        total_bids[g] += m
-        if track_two:
-            first = (m <= 2) & (rounds_to_two[g] == 0)
-            rounds_to_two[g[first]] = rounds[first]
-            reached_two[g[m == 2]] = True
-        ended = m == 1
-        capped = ~ended & (rounds >= round_cap)
-        truncated[g[capped]] = True
-        stop = k > m
-        held.append((g[stop], k[stop] - m[stop], rounds[stop] - 1, np.zeros(stop.sum(), bool)))
-        done = ended | capped
-        held.append((g[done], m[done], rounds[done], ended[done]))
-        active[played] = m
-        if done.any():
-            raw[g[done]] = step  # every step was a raw round of each game
-            keep = np.ones(slots.size, dtype=bool)
-            keep[played[done]] = False
-            active, slots = active[keep], slots[keep]
+        played = bidders > 0
+        rounds += played
+        event = played & (bidders < active)
+        if step >= round_cap:
+            event |= rounds >= round_cap
+        e = np.flatnonzero(event)
+        if e.size:  # only these games' active counts change
+            g, k, m, r = slots[e], active[e], bidders[e], rounds[e]
+            log.append((g, k, m, r))
+            active[e] = m
+            done = (m == 1) | (r >= round_cap)
+            if done.any():
+                raw[g[done]] = step  # every step was a raw round of each game
+                keep = np.ones(slots.size, dtype=bool)
+                keep[e[done]] = False
+                slots, active, rounds = slots[keep], active[keep], rounds[keep]
 
-    holder, players, bid_counts, won = (np.concatenate(part) for part in zip(*held))
+    g, k, m, rounds = (np.concatenate(part) for part in zip(*log))
+    done = (m == 1) | (rounds >= round_cap)
+    stop = k > m
+    # The players who stopped, in round order, then each game's final
+    # holding: every game lists its holdings in the order it closed them.
+    last = m[done]
+    holder = np.concatenate((g[stop], g[done]))
+    players = np.concatenate(((k - m)[stop], last))
+    bid_counts = np.concatenate((rounds[stop] - 1, rounds[done]))
+    won = np.concatenate((np.zeros(holder.size - last.size, dtype=bool), last == 1))
     winner = np.full(size, -1, dtype=np.int64)
     winner[holder[won]] = np.flatnonzero(won)
+    effective = np.empty(size, dtype=np.int64)
+    effective[g[done]] = rounds[done]
+    rounds_to_two = np.zeros(size, dtype=np.int64)
+    reached_two = np.zeros(size, dtype=bool)
+    if _tracks_two_players(GameMode.NO_REENTRY, n):
+        # A count never rises, so the first round to leave at most two
+        # bidders is the one round from k > 2 to m <= 2, and a game
+        # reaches m = 2 first in such a round.
+        first = (k > 2) & (m <= 2)
+        rounds_to_two[g[first]] = rounds[first]
+        reached_two[g[m == 2]] = True
     return BlockRecord(
         winner=winner,
-        revenue=_revenue(params, winner, total_bids),
+        revenue=_revenue(params, winner, np.bincount(holder, players * bid_counts, size)),
         effective_length=effective,
         raw_length=raw,
-        truncated=truncated,
+        truncated=winner < 0,
         rounds_to_at_most_two=rounds_to_two,
         reached_two_player_state=reached_two,
         holder=holder,
@@ -323,7 +350,8 @@ def _holding_utility(
     present = np.flatnonzero(np.bincount(key.ravel()))
     amounts = initial_wealth + _net_money(params, present // 2, present % 2 == 1)
     table = np.empty(key.max(initial=0) + 1)
-    table[present] = [params.utility.evaluate(float(x)) for x in amounts]
+    u = params.utility  # a property that builds a new CarlUtility on every access
+    table[present] = [u.evaluate(float(x)) for x in amounts]
     return table[key]
 
 
@@ -359,16 +387,16 @@ def _simulate_block(
     block_size = _block_size(mode, params.n)
     size = min(block_size, count - b * block_size)
     game = _play_block(params, mode, bid_prob, _philox_stream(master_seed, b), size, round_cap)
-    done = ~game.truncated
+    kept = slice(None)  # the holdings of completed games, without a copy if that is all
+    if game.truncated.any():
+        kept = ~game.truncated if game.bid_counts.ndim == 2 else ~game.truncated[game.holder]
     with np.errstate(over="raise"):  # a game's utility sum past the float range raises
-        if game.bid_counts.ndim == 2:  # re-entry: a row per game, summed along the roster
+        held = _holding_utility(params, initial_wealth, game.bid_counts[kept], game.won[kept])
+        if held.ndim == 2:  # re-entry: a row per game, summed along the roster
             per_game = np.zeros(size)
-            held = _holding_utility(params, initial_wealth, game.bid_counts[done], game.won[done])
-            per_game[done] = held.sum(axis=1)
+            per_game[kept] = held.sum(axis=1)
         else:
-            mine = done[game.holder]
-            held = _holding_utility(params, initial_wealth, game.bid_counts[mine], game.won[mine])
-            per_game = np.bincount(game.holder[mine], held * game.players[mine], minlength=size)
+            per_game = np.bincount(game.holder[kept], held * game.players[kept], minlength=size)
     return np.column_stack(
         (
             game.revenue,
@@ -450,7 +478,7 @@ def run_replications(
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             summary = np.vstack(list(pool.map(play, range(blocks), chunksize=-(-blocks // jobs))))
 
-    completed = summary[summary[:, -1] == 0.0]
+    completed = summary[summary[:, -1] == 0.0] if summary[:, -1].any() else summary
     truncated_count = int(count - completed.shape[0])
     if completed.shape[0] == 0:
         raise ParameterError(

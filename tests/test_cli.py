@@ -639,6 +639,31 @@ def test_console_entry_point_smoke():
     assert proc.stdout.splitlines()[0].startswith("status,reason,n,")
 
 
+# Help and error cases of the command line, each parsed by main.
+PARSER_CASES = {
+    "help": ["--help"],
+    **{f"{name}-help": [name, "--help"] for name in cli.TABLES},
+    "no-command": [],
+    "unknown-command": ["frobnicate", *BASE],
+    "unrecognized-argument": ["simulate", *BASE, "--frobnicate", "1"],
+    "bad-value": ["revenue", "--n", "three"],
+    "bad-choice": ["simulate", *BASE, "--mode", "sometimes"],
+}
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES.values(), ids=list(PARSER_CASES))
+def test_subcommand_parser_prints_what_the_full_parser_prints(capsys, argv):
+    # main builds the flags of the subcommand it runs and bare stubs of
+    # the others; every help and error text must stay the full parser's.
+    def outcome(parse):
+        with pytest.raises(SystemExit) as stop:
+            parse(argv)
+        captured = capsys.readouterr()
+        return stop.value.code, captured.out, captured.err
+
+    assert outcome(main) == outcome(cli.build_parser().parse_args)
+
+
 def test_cli_import_leaves_the_process_pool_out():
     # Only a run with more than one worker needs the pool; its import
     # costs every other command time at startup.
@@ -672,15 +697,16 @@ CLOSED_FORM_POINT = ["--n", "4", "--value", "10", "--bid-fee", "1", "--rho=-0.1"
 )
 def test_closed_forms_run_without_numpy(argv, last_row):
     # The closed forms and the attrition chain are scalar arithmetic.
-    # numpy's import alone costs a process about 0.16 s, and that of
-    # dataclasses, which imports inspect, about 17 ms.
+    # numpy's import alone costs a process about 50 ms, and that of
+    # dataclasses, which imports inspect, about 17 ms.  A JSON table
+    # needs no csv module either.
     proc = subprocess.run(
         [
             sys.executable, "-c",
             "import sys, paytobid.cli; "
             f"code = paytobid.cli.main({argv!r}); "
             "assert code == 0, code; "
-            "loaded = [m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules]; "
+            "loaded = [m for m in ('numpy', 'dataclasses', 'inspect', 'csv') if m in sys.modules]; "
             "assert not loaded, loaded",
         ],
         capture_output=True,

@@ -11,6 +11,7 @@ from scipy import stats
 from paytobid import (
     DEFAULT_ROUND_CAP,
     AuctionParams,
+    CarlUtility,
     EquilibriumPolicy,
     GameMode,
     ParameterError,
@@ -21,6 +22,7 @@ from paytobid import (
 from paytobid.simulator import (
     _FIGURES,
     BLOCK_SIZE,
+    BlockRecord,
     _bid_prob_table,
     _net_money,
     _philox_stream,
@@ -574,6 +576,83 @@ def test_stream_contract_is_pinned(mode):
     assert result._asdict() == {
         "replications": 9_000, "initial_wealth": 1.5, **frozen
     }
+
+
+# Frozen results of one capped run per mode, recorded with the engines
+# that kept each running game's counts in separate arrays.  About a third
+# of the re-entry games and two thirds of the others hit the cap, so the
+# path that leaves truncated games out of the utility column and out of
+# every mean is held byte for byte.  Each entry is (params, seed, round
+# cap, utility kernel calls, figures); the kernel runs once per amount of
+# net money that a completed game's holdings reach.
+CAPPED_RUNS = {
+    GameMode.WITH_REENTRY: (
+        AuctionParams(n=10, value=100.0, sale_price=0.0, bid_fee=1.0, rho=-0.01),
+        79,
+        40,
+        56,
+        {
+            "truncated_replications": 1053,
+            "mean_revenue": 71.96404725218285,
+            "se_revenue": 1.140994452323009,
+            "mean_effective_length": 16.894196199280945,
+            "se_effective_length": 0.25389190205249706,
+            "mean_raw_length": 16.945043656908062,
+            "se_raw_length": 0.25469363893830826,
+            "mean_player_utility": 10.711349971799338,
+            "se_player_utility": 0.12480825666897555,
+            "two_player_passage_fraction": None,
+            "se_two_player_passage_fraction": None,
+            "mean_rounds_to_two": None,
+            "se_rounds_to_two": None,
+        },
+    ),
+    GameMode.NO_REENTRY: (
+        AuctionParams(n=6, value=100.0, sale_price=0.0, bid_fee=1.0, rho=-0.01),
+        80,
+        30,
+        64,
+        {
+            "truncated_replications": 2022,
+            "mean_revenue": 30.494887525562373,
+            "se_revenue": 0.6438535112584026,
+            "mean_effective_length": 13.192229038854805,
+            "se_effective_length": 0.29000325938613425,
+            "mean_raw_length": 13.199386503067485,
+            "se_raw_length": 0.29001816101617517,
+            "mean_player_utility": 22.342260446786163,
+            "se_player_utility": 0.1680251765999486,
+            "two_player_passage_fraction": 0.7024539877300614,
+            "se_two_player_passage_fraction": 0.014626443112704024,
+            "mean_rounds_to_two": 4.591002044989775,
+            "se_rounds_to_two": 0.12175376354269445,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", list(GameMode))
+def test_capped_run_is_pinned(monkeypatch, mode):
+    params, seed, round_cap, evaluations, frozen = CAPPED_RUNS[mode]
+    calls = []
+    evaluate = CarlUtility.evaluate
+    monkeypatch.setattr(CarlUtility, "evaluate", lambda u, x: calls.append(x) or evaluate(u, x))
+    result = run_replications(params, mode, 3_000, seed, round_cap, initial_wealth=1.5)
+    assert result._asdict() == {"replications": 3_000, "initial_wealth": 1.5, **frozen}
+    assert len(calls) == evaluations
+
+
+@pytest.mark.parametrize("mode", list(GameMode))
+def test_state_width_does_not_change_the_games(mode):
+    # A round cap of 2**31 or more needs int64 counts, and any smaller cap
+    # fits int32; on the same stream both must play the same games.
+    params = make_params((10.0, 0.0, 1.0), rho=-0.1, n=4)
+    table = _bid_prob_table(params)
+    narrow, wide = (
+        _play_block(params, mode, table, _philox_stream(6, 0), 500, cap) for cap in (10**7, 2**31)
+    )
+    for field in BlockRecord._fields:
+        assert np.array_equal(getattr(narrow, field), getattr(wide, field)), field
 
 
 # ---------------------------------------------------------------------------

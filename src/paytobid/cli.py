@@ -1,13 +1,15 @@
 """Experiment runner: equilibrium, revenue, attrition and simulation tables.
 
-SETTINGS declares each run setting once.  It drives the flags of every
-subcommand, the coercion of config-file values, the defaults and the
-missing-setting check; a flag wins over the config file, which wins over
-the default.  TABLES holds one TableSpec per subcommand: its trailing
-columns, a row function that turns a valid grid point into blocks of
-rows and the settings a SKIPPED row still reports.  One driver,
-build_table, walks the sweep grid and adds the status, reason and
-parameter columns to every block.
+SETTINGS declares each run setting once: its flag, the coercion of its
+config-file value, its default and the missing-setting check; a flag
+wins over the config file, which wins over the default.  TABLES holds
+one TableSpec per subcommand: its trailing columns, a row function that
+turns a valid grid point into blocks of rows, the settings that it reads
+besides the five parameters and the format, and the settings a SKIPPED
+or FAILED row still reports.  A subcommand has a flag and accepts a
+config-file key for the settings that it reads, and no others.  One
+driver, build_table, walks the sweep grid and adds the status, reason
+and parameter columns to every block.
 
 A table is a list of blocks.  A block maps a column to a scalar, the
 value of that column in every row of the block, or to a list with one
@@ -25,7 +27,7 @@ of stdout closes it early (as `| head` does); 2 configuration or
 invariant violation; 3 numerical failure (a quantity left the range of
 a float, the hazard rate is too small for the fee series to decay, or a
 Monte Carlo run would be expected to play more raw rounds than its
-budget).
+budget); a sweep reports such a grid point as a FAILED row instead.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ class ConfigError(ValueError):
 
 
 class Setting(NamedTuple):
-    """One run setting: a flag of every subcommand and a config-file key."""
+    """One run setting: a flag and a config-file key of each subcommand that reads it."""
 
     type: type
     default: object  # None: the run needs a value from a flag or the file
@@ -80,7 +82,9 @@ class Setting(NamedTuple):
 
 
 # Key -> setting, in the order the flags are listed.  The flag of key
-# k is --k with underscores written as dashes.
+# k is --k with underscores written as dashes.  Every subcommand reads
+# the five parameters and the format; each TableSpec names the others
+# that it reads.
 SETTINGS: Dict[str, Setting] = {
     "n": Setting(int, None, "number of players (>= 2)"),
     "value": Setting(float, None, "monetary value of the object"),
@@ -107,6 +111,7 @@ SETTINGS: Dict[str, Setting] = {
 # Sweep axis name -> AuctionParams field.
 SWEEP_FIELDS = {"n": "n", "v": "value", "s": "sale_price", "c": "bid_fee", "rho": "rho"}
 _PARAM_COLUMNS = list(SWEEP_FIELDS.values())  # after status and reason in every table
+_COMMON_KEYS = (*_PARAM_COLUMNS, "format")  # the settings every subcommand reads
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +195,15 @@ def _load_config_file(path: str) -> Dict[str, object]:
 
 
 def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
-    """One attribute per SETTINGS key, plus the parsed sweep axes."""
+    """One attribute per setting the subcommand reads, plus the parsed sweep axes."""
+    keys = TABLES[args.command].setting_keys()
     file_values = {} if args.config is None else _load_config_file(args.config)
+    for key in file_values:
+        if key != "sweep" and key not in keys:
+            raise ConfigError(f"{args.command} does not read config key {key!r}")
     cfg = argparse.Namespace()
-    for key, setting in SETTINGS.items():
+    for key in keys:
+        setting = SETTINGS[key]
         value = getattr(args, key)
         if value is None:
             value = file_values.get(key, setting.default)
@@ -278,8 +288,7 @@ def _attrition_rows(cfg: argparse.Namespace, params: AuctionParams) -> List[Bloc
         "replications": cfg.replications,
     }
     if cfg.replications > 0:
-        # Attrition is a no-re-entry phenomenon; the mode setting does
-        # not apply here.
+        # Attrition is a no-re-entry phenomenon, so the table has no mode.
         result = run_replications(
             params, GameMode.NO_REENTRY, cfg.replications, cfg.seed, cfg.round_cap
         )
@@ -301,8 +310,13 @@ class TableSpec(NamedTuple):
     help: str
     columns: Tuple[str, ...]
     rows: Callable[[argparse.Namespace, AuctionParams], List[Block]]  # blocks of a valid point
-    skipped: Tuple[str, ...] = ()  # settings a SKIPPED row still reports
+    settings: Tuple[str, ...] = ()  # read by rows and build_table besides parameters and format
+    skipped: Tuple[str, ...] = ()  # settings a SKIPPED or FAILED row still reports
     needs_replications: bool = False  # refuse the run, even a fully skipped one
+
+    def setting_keys(self) -> List[str]:
+        """The SETTINGS keys the subcommand reads, in SETTINGS order."""
+        return [key for key in SETTINGS if key in _COMMON_KEYS or key in self.settings]
 
 
 TABLES: Dict[str, TableSpec] = {
@@ -317,12 +331,14 @@ TABLES: Dict[str, TableSpec] = {
          "expected_length", "series_fee", "series_total", "mc_mean_revenue", "mc_se_revenue",
          "replications"),
         _revenue_rows,
+        settings=("replications", "mode", "seed", "round_cap", "tol"),
     ),
     "attrition": TableSpec(
         "no-re-entry passage times and two-player endgame probability",
         ("expected_rounds_to_one", "expected_rounds_to_two", "endgame_time_fraction",
          "two_player_endgame_prob", *_ATTRITION_MC, "replications"),
         _attrition_rows,
+        settings=("replications", "seed", "round_cap"),
     ),
     "simulate": TableSpec(
         "Monte Carlo replications of the full game",
@@ -332,6 +348,7 @@ TABLES: Dict[str, TableSpec] = {
          "two_player_passage_fraction", "se_two_player_passage_fraction",
          "mean_rounds_to_two", "se_rounds_to_two"),
         _simulate_rows,
+        settings=("mode", "replications", "seed", "round_cap", "initial_wealth"),
         skipped=("mode", "replications"),
         needs_replications=True,
     ),
@@ -342,13 +359,16 @@ def build_table(name: str, spec: TableSpec, cfg: argparse.Namespace):
     """(column names, blocks) of one subcommand over the sweep grid.
 
     Swept parameters are crossed in order; an invalid grid point gets a
-    SKIPPED block of one row.  Status, reason and the parameters are
-    scalars of every block.  Without a sweep an invalid configuration
-    raises instead, so a single run fails loudly with exit code 2.
+    SKIPPED block of one row, and a valid one whose row function raises
+    an ArithmeticError a FAILED block of one row, each with the error as
+    its reason.  Status, reason and the parameters are scalars of every
+    block.  Without a sweep the error is raised instead, so a single run
+    fails loudly with exit code 2 or 3.
     """
     if spec.needs_replications and cfg.replications < 1:
         raise ConfigError(f"{name} needs --replications >= 1")
     base = {key: getattr(cfg, key) for key in _PARAM_COLUMNS}
+    skipped = {key: getattr(cfg, key) for key in spec.skipped}
     names = [axis for axis, _ in cfg.sweep]
     blocks = []
     for combo in itertools.product(*(points for _, points in cfg.sweep)):
@@ -358,10 +378,16 @@ def build_table(name: str, spec: TableSpec, cfg: argparse.Namespace):
         except ParameterError as exc:
             if not cfg.sweep:
                 raise
-            skipped = {key: getattr(cfg, key) for key in spec.skipped}
             blocks.append({"status": "SKIPPED", "reason": str(exc), **fields, **skipped})
             continue
-        for values in spec.rows(cfg, params):
+        try:
+            rows = spec.rows(cfg, params)
+        except ArithmeticError as exc:
+            if not cfg.sweep:
+                raise
+            blocks.append({"status": "FAILED", "reason": str(exc), **fields, **skipped})
+            continue
+        for values in rows:
             block = {"status": "OK", "reason": None, **fields, **values}
             if block["reason"]:
                 block["status"] = "FAILED"
@@ -483,7 +509,8 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
             continue
         p = sub.add_parser(name, help=spec.help)
         p.add_argument("--config", help="config file (key = value lines or a JSON object)")
-        for key, setting in SETTINGS.items():
+        for key in spec.setting_keys():
+            setting = SETTINGS[key]
             p.add_argument("--" + key.replace("_", "-"), type=setting.type,
                            choices=setting.choices, help=setting.help)
         p.add_argument("--sweep", action="append", metavar="PARAM=V1,V2,...",

@@ -39,7 +39,6 @@ count.  _tracks_two_players says which games report two-player figures.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from typing import NamedTuple, Optional
 
@@ -357,14 +356,7 @@ def _holding_utility(
 
 # The (mean, SE) fields of SimulationResult, in the order of the summary
 # columns of _simulate_block; the two-player pairs come last.
-_FIGURES = (
-    ("mean_revenue", "se_revenue"),
-    ("mean_effective_length", "se_effective_length"),
-    ("mean_raw_length", "se_raw_length"),
-    ("mean_player_utility", "se_player_utility"),
-    ("mean_rounds_to_two", "se_rounds_to_two"),
-    ("two_player_passage_fraction", "se_two_player_passage_fraction"),
-)
+_FIGURES = tuple(zip(SimulationResult._fields[3::2], SimulationResult._fields[4::2]))
 
 
 def _simulate_block(
@@ -403,8 +395,8 @@ def _simulate_block(
             game.effective_length,
             game.raw_length,
             per_game / params.n,
-            game.rounds_to_at_most_two,
             game.reached_two_player_state,
+            game.rounds_to_at_most_two,
             game.truncated,
         )
     )
@@ -486,7 +478,7 @@ def run_replications(
             "no completed games to aggregate"
         )
 
-    figures = dict.fromkeys(itertools.chain(*_FIGURES))  # None where not tracked
+    figures = dict.fromkeys(SimulationResult._fields[3:])  # None where not tracked
     reported = _FIGURES if _tracks_two_players(mode, params.n) else _FIGURES[:-2]
     for column, (mean, se) in enumerate(reported):
         figures[mean], figures[se] = _mean_se(completed[:, column])

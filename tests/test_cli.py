@@ -1,5 +1,6 @@
 """Command-line surface: tables, formats, exit codes, config merging."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -330,6 +331,45 @@ def test_attrition_at_the_edges_of_the_domain(capsys, argv, expected):
         assert row[column] == pytest.approx(value, rel=1e-9)
 
 
+def test_sweep_keeps_its_good_rows_when_a_point_fails(capsys):
+    # u(1e6) is past the exp range at rho = -0.05: the row function raises.
+    point = ["--bid-fee", "1", "--rho=-0.05"]
+    code, out, err = run_cli(
+        capsys, ["attrition", "--n", "2", "--value", "10", *point, "--sweep", "n=2,3",
+                 "--sweep", "v=10,1e6"]
+    )
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["rows"]
+    assert [(r["status"], r["n"], r["value"]) for r in rows] == [
+        ("OK", 2, 10.0), ("FAILED", 2, 1e6), ("OK", 3, 10.0), ("FAILED", 3, 1e6)
+    ]
+    for row in rows[1::2]:
+        assert row["reason"].startswith("|rho * x| = 50000 exceeds the exp range")
+    # Without a sweep the same point still fails the run.
+    code, out, err = run_cli(capsys, ["attrition", "--n", "2", "--value", "1e6", *point])
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical failure: |rho * x| = 50000 exceeds the exp range")
+
+
+def test_failed_sweep_row_reports_what_a_skipped_row_does(capsys):
+    # At rho = -0.1 the square of u(3529), about 1e154, overflows in the
+    # utility estimate; rho = 0.5 is outside the domain.
+    argv = ["simulate", *BASE, "--mode", "reentry", "--replications", "8",
+            "--initial-wealth", "3529", "--sweep", "rho=0,-0.1,0.5"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    ok, failed, skipped = json.loads(out)["rows"]
+    assert (ok["status"], failed["status"], skipped["status"]) == ("OK", "FAILED", "SKIPPED")
+    assert failed["reason"] == "overflow encountered in square"
+
+    def filled(row):
+        return {column for column, value in row.items() if value is not None}
+
+    assert filled(failed) == filled(skipped) == {
+        "status", "reason", "n", "value", "sale_price", "bid_fee", "rho", "mode", "replications"
+    }
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -627,6 +667,79 @@ def test_unknown_config_key_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["equilibrium", "--config", str(config), *BASE])
     assert code == 2
     assert "frobnicate" in err
+
+
+# Subcommand -> the run settings that it does not read: 11 of the 48
+# (subcommand, setting) pairs.
+UNREAD = {
+    "equilibrium": ("mode", "replications", "seed", "round_cap", "tol", "initial_wealth"),
+    "revenue": ("initial_wealth",),
+    "attrition": ("mode", "tol", "initial_wealth"),
+    "simulate": ("tol",),
+}
+UNREAD_PAIRS = [(command, key) for command, keys in UNREAD.items() for key in keys]
+
+
+@pytest.mark.parametrize("source", ["flag", "json", "lines"])
+@pytest.mark.parametrize("command, key", UNREAD_PAIRS)
+def test_unread_setting_is_refused(capsys, tmp_path, command, key, source):
+    # A value the setting accepts where it is read: only the subcommand refuses it.
+    value = SETTING_CASES[key][1]
+    values = {"n": 3, "value": 10.0, "bid_fee": 1.0}
+    if command == "simulate":
+        values["replications"] = 20
+    argv = [command, *(f"--{k.replace('_', '-')}={v}" for k, v in values.items())]
+    unread = f"--{key.replace('_', '-')}={value}"
+    if source == "flag":
+        argv.append(unread)
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text(json.dumps({key: value}) if source == "json" else f"{key} = {value}\n")
+        argv += ["--config", str(config)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses a flag the subcommand lacks
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    if source == "flag":
+        # argparse prints the one-line top-level usage before its error.
+        assert captured.err.startswith("usage: paytobid ")
+        assert captured.err.splitlines()[1:] == [f"paytobid: error: unrecognized arguments: {unread}"]
+    else:
+        assert captured.err == f"error: {command} does not read config key {key!r}\n"
+
+
+@pytest.mark.parametrize("replications", [True, False], ids=["replications", "none"])
+@pytest.mark.parametrize("command", list(cli.TABLES))
+def test_commands_read_exactly_their_settings(capsys, monkeypatch, command, replications):
+    spec = cli.TABLES[command]
+    expected = {*spec.settings, "n", "value", "sale_price", "bid_fee", "rho", "format", "sweep"}
+    reads = set()
+
+    class ReadLog(argparse.Namespace):
+        def __getattribute__(self, name):
+            if not name.startswith("_"):
+                reads.add(name)
+            return super().__getattribute__(name)
+
+    def resolve_config(args):
+        cfg = resolve(args)
+        assert set(vars(cfg)) == {*spec.setting_keys(), "sweep"}
+        return ReadLog(**vars(cfg))
+
+    resolve = cli.resolve_config
+    monkeypatch.setattr(cli, "resolve_config", resolve_config)
+    argv = [command, *BASE, "--rho=-0.1"]
+    if replications and "replications" in spec.settings:
+        argv += ["--replications", "20"]
+    code, _, _ = run_cli(capsys, argv)
+    if replications or command == "equilibrium":
+        assert code == 0
+        assert reads == expected
+    else:
+        assert reads < expected
 
 
 def test_console_entry_point_smoke():
@@ -986,19 +1099,28 @@ EDGES = {
 }
 
 
+def run_settings(command):
+    """The run settings of ACCEPTED that ``command`` reads."""
+    return {*cli.TABLES[command].settings, "format"}
+
+
 @st.composite
-def run_configs(draw, edge):
-    """(flags, config-file settings, file encoding) at FAST_POINT.
+def run_configs(draw, command, edge):
+    """(flags, config-file settings, file encoding) of ``command`` at FAST_POINT.
 
     The run setting ``edge`` is a bool, a non-finite float or one of its
-    EDGES, and the others take accepted values.  Each run setting but
-    the replication count may be left out, and every setting present is
-    a flag or a config-file entry.
+    EDGES, and the other run settings that ``command`` reads take
+    accepted values.  Each run setting but the edge and the replication
+    count may be left out, and every setting present is a flag or a
+    config-file entry.
     """
     at_edge = st.one_of(st.booleans(), st.sampled_from([math.nan, math.inf, -math.inf]), EDGES[edge])
     values = dict(FAST_POINT)
     for key, accepted in ACCEPTED.items():
-        values[key] = draw(at_edge if key == edge else accepted)
+        if key == edge:
+            values[key] = draw(at_edge)
+        elif key in run_settings(command):
+            values[key] = draw(accepted)
     flags, doc = [], {}
     for key, value in values.items():
         optional = key in ACCEPTED and key not in (edge, "replications")
@@ -1034,7 +1156,7 @@ def test_run_settings_exit_cleanly(tmp_path, command, edge):
     config = tmp_path / "run.cfg"
 
     @settings(max_examples=50, deadline=timedelta(seconds=5), phases=NO_SHRINK)
-    @given(run_configs(edge))
+    @given(run_configs(command, edge))
     def check(case):
         flags, doc, encoding = case
         if encoding == "json":
@@ -1049,6 +1171,8 @@ def test_run_settings_exit_cleanly(tmp_path, command, edge):
                 code = exc.code
         assert code in (0, 2, 3), err.getvalue()
         assert code == 0 or out.getvalue() == ""
+        if edge not in run_settings(command):
+            assert code == 2, "a setting the command does not read is refused"
         if command == "revenue" and reads_non_finite(flags, doc, "tol"):
             assert code == 2, "a tolerance that is not finite cannot bound the series"
         if any(isinstance(v, bool) for v in doc.values()):

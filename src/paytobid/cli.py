@@ -27,7 +27,8 @@ of stdout closes it early (as `| head` does); 2 configuration or
 invariant violation; 3 numerical failure (a quantity left the range of
 a float, the hazard rate is too small for the fee series to decay, or a
 Monte Carlo run would be expected to play more raw rounds than its
-budget); a sweep reports such a grid point as a FAILED row instead.
+budget); a sweep reports such a grid point, or one whose replications
+all hit the round cap, as a FAILED row instead.
 """
 
 from __future__ import annotations
@@ -491,6 +492,17 @@ def render(command: str, columns: List[str], blocks: List[Block], fmt: str) -> s
     return f"{head}[\n{body}\n  ]\n}}\n" if body else f"{head}[]\n}}\n"
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: it reports the arguments that it does not
+    know itself, where argparse would hand them up to the top level."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The parser of every subcommand, or of ``command`` alone.
 
@@ -502,7 +514,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         prog="paytobid",
         description="Pay-to-bid auction tables: equilibrium, revenue, attrition, simulation.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
     for name, spec in TABLES.items():
         if command not in (None, name):
             sub.add_parser(name, help=spec.help, add_help=False)
@@ -525,7 +537,7 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
         columns, blocks = COMMANDS[args.command](cfg)
         text = render(args.command, columns, blocks, cfg.format)
-    except (ConfigError, ParameterError) as exc:  # RiskCoefficientError is a ParameterError
+    except (ConfigError, ParameterError) as exc:  # also RiskCoefficientError, AllTruncatedError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

@@ -31,14 +31,14 @@ bids.  A step logs only the rounds in which players left or the cap was
 hit, and one pass over that round log builds the block's outcome, so a
 block of BLOCK_SIZE games holds O(n * games) values at most, and
 O(games) for any n once play is down to two players.
-Workers receive whole blocks and the reduction runs in replication
-order, so results are bit-reproducible and independent of the worker
-count.  _tracks_two_players says which games report two-player figures.
+Block b draws only from stream b, so a game's draws are fixed by
+(master_seed, b); the blocks are played and reduced in replication
+order, so results are bit-reproducible.  _tracks_two_players says which
+games report two-player figures.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple, Optional
 
@@ -60,6 +60,14 @@ RAW_ROUND_BUDGET = 10**11
 
 class RawRoundBudgetError(ArithmeticError):
     """A run would be expected to play more than RAW_ROUND_BUDGET raw rounds."""
+
+
+class AllTruncatedError(ParameterError, ArithmeticError):
+    """Every replication of a run hit the round cap.
+
+    Also an ArithmeticError: it is an outcome of the draws, which a sweep
+    reports as a failed grid point.
+    """
 
 
 class SimulationResult(NamedTuple):
@@ -94,12 +102,9 @@ def _philox_stream(master_seed: int, index: int) -> np.random.Generator:
     """Stream number ``index`` of the Philox key ``master_seed``.
 
     Philox is counter-based: jumping by the index yields disjoint,
-    random-access streams from a single key, so any subset of them can
-    run anywhere without changing the numbers drawn.
+    random-access streams from a single key, so each block's draws
+    depend on its index alone.
     """
-    require_count(master_seed, 0, "master seed must be a non-negative integer, got {!r}")
-    if master_seed >= 2**128:
-        raise ParameterError(f"master seed must be below 2**128, got {master_seed!r}")
     return np.random.Generator(np.random.Philox(key=master_seed).jumped(index))
 
 
@@ -366,18 +371,16 @@ def _simulate_block(
     master_seed: int,
     round_cap: int,
     initial_wealth: float,
-    count: int,
     b: int,
+    size: int,
 ) -> np.ndarray:
-    """Summary rows of block b of a run of ``count``.
+    """Summary rows of block b, which holds ``size`` games.
 
     One column per pair of _FIGURES, in its order, then the truncation flag.
 
     The utility column is evaluated for completed games only and reads 0
     for truncated ones, which no mean uses.
     """
-    block_size = _block_size(mode, params.n)
-    size = min(block_size, count - b * block_size)
     game = _play_block(params, mode, bid_prob, _philox_stream(master_seed, b), size, round_cap)
     kept = slice(None)  # the holdings of completed games, without a copy if that is all
     if game.truncated.any():
@@ -417,7 +420,6 @@ def run_replications(
     round_cap: int = DEFAULT_ROUND_CAP,
     *,
     initial_wealth: float = 0.0,
-    workers: int = 1,
 ) -> SimulationResult:
     """Run independent replications and aggregate them.
 
@@ -426,14 +428,15 @@ def run_replications(
     blocks whose size depends only on (mode, n): BLOCK_SIZE games
     without re-entry, and max(1, BLOCK_SIZE * 64 // n) with it, so a
     block's arrays stay bounded as the roster grows.  Block b always
-    uses the stream derived from (master_seed, b), and each worker plays
-    its share of whole blocks, one lockstep loop per block.  A game's
-    draws are thus fixed by its block alone, and the reduction runs in
-    replication order, so the result is byte-identical for any worker
-    count.
+    uses the stream derived from (master_seed, b) and is played in one
+    lockstep loop, so a game's draws are fixed by (master_seed, b).  The
+    blocks are played and reduced in replication order, so a rerun is
+    byte-identical.
 
     Raises FloatingPointError when a player utility figure leaves the
     float range, as it can at a large initial wealth with rho < 0.
+
+    Raises AllTruncatedError when every replication hits the round cap.
 
     Raises RawRoundBudgetError, before playing, when the games would be
     expected to play more than RAW_ROUND_BUDGET raw rounds in all: each
@@ -442,7 +445,9 @@ def run_replications(
     """
     require_count(count, 1, "replication count must be an integer >= 1, got {!r}")
     require_count(round_cap, 1, "round cap must be an integer >= 1, got {!r}")
-    require_count(workers, 1, "worker count must be an integer >= 1, got {!r}")
+    require_count(master_seed, 0, "master seed must be a non-negative integer, got {!r}")
+    if master_seed >= 2**128:
+        raise ParameterError(f"master seed must be below 2**128, got {master_seed!r}")
     if not math.isfinite(initial_wealth):
         raise ParameterError(f"initial wealth must be finite, got {initial_wealth!r}")
     bid_prob = _bid_prob_table(params)
@@ -456,24 +461,16 @@ def run_replications(
             f"{RAW_ROUND_BUDGET:.0e} raw rounds"
         )
 
-    blocks = -(-count // _block_size(mode, params.n))
-    jobs = min(workers, blocks)
-    play = functools.partial(
-        _simulate_block, params, mode, bid_prob, master_seed, round_cap, initial_wealth, count
-    )
-    if jobs == 1:
-        summary = np.vstack(list(map(play, range(blocks))))
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # costs ~25 ms of import
-
-        # One chunk of consecutive blocks per worker; map keeps block order.
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            summary = np.vstack(list(pool.map(play, range(blocks), chunksize=-(-blocks // jobs))))
-
+    block = _block_size(mode, params.n)
+    summary = np.vstack([
+        _simulate_block(params, mode, bid_prob, master_seed, round_cap, initial_wealth, b,
+                        min(block, count - start))
+        for b, start in enumerate(range(0, count, block))
+    ])
     completed = summary[summary[:, -1] == 0.0] if summary[:, -1].any() else summary
     truncated_count = int(count - completed.shape[0])
     if completed.shape[0] == 0:
-        raise ParameterError(
+        raise AllTruncatedError(
             f"all {count} replications hit the round cap {round_cap}; "
             "no completed games to aggregate"
         )

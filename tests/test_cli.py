@@ -423,6 +423,22 @@ def test_simulate_with_every_game_truncated_exits_2(capsys):
     assert "all 2 replications hit the round cap 3000" in err
 
 
+def test_sweep_keeps_its_good_rows_when_every_game_of_a_point_hits_the_cap(capsys):
+    # The point of the test above, next to rho = 0, where both games end.
+    code, out, err = run_cli(
+        capsys,
+        [
+            "simulate", "--n", "3", "--value", "100", "--sale-price", "5", "--bid-fee", "0.5",
+            "--rho=-0.5", "--replications", "2", "--round-cap", "3000", "--sweep", "rho=0,-0.5",
+        ],
+    )
+    assert (code, err) == (0, "")
+    ok, failed = json.loads(out)["rows"]
+    assert (ok["status"], ok["rho"], ok["truncated_replications"]) == ("OK", 0.0, 0)
+    assert (failed["status"], failed["rho"]) == ("FAILED", -0.5)
+    assert failed["reason"].startswith("all 2 replications hit the round cap 3000; ")
+
+
 @pytest.mark.parametrize("mode", ["reentry", "no-reentry"])
 def test_simulate_beyond_the_raw_round_budget_exits_3(mode):
     # lambda is one ulp below 1, so p(5) is about 2.8e-17 and nearly every
@@ -448,6 +464,24 @@ def test_seed_beyond_a_philox_key_exits_2(capsys, command):
     assert code == 2
     assert out == ""
     assert err == f"error: master seed must be below 2**128, got {2**128}\n"
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        ("-1", "must be a non-negative integer, got -1"),
+        (str(2**128), f"must be below 2**128, got {2**128}"),
+    ],
+    ids=["negative", "2**128"],
+)
+def test_seed_is_refused_before_the_raw_round_budget(capsys, seed, message):
+    # The point of the budget test above: a bad seed is a configuration
+    # error, whatever the run would cost.
+    argv = ["simulate", "--n", "5", "--value", "1", "--bid-fee", "0.9999999999999999",
+            "--replications", "10", f"--seed={seed}"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: master seed {message}\n"
 
 
 # u(3529) is about 1e154 at rho = -0.1, so its squares overflow; at n = 100
@@ -704,9 +738,11 @@ def test_unread_setting_is_refused(capsys, tmp_path, command, key, source):
     assert code == 2
     assert captured.out == ""
     if source == "flag":
-        # argparse prints the one-line top-level usage before its error.
-        assert captured.err.startswith("usage: paytobid ")
-        assert captured.err.splitlines()[1:] == [f"paytobid: error: unrecognized arguments: {unread}"]
+        # The subcommand's parser prints its usage, then its error.
+        assert captured.err.startswith(f"usage: paytobid {command} [-h] ")
+        assert captured.err.splitlines()[-1] == (
+            f"paytobid {command}: error: unrecognized arguments: {unread}"
+        )
     else:
         assert captured.err == f"error: {command} does not read config key {key!r}\n"
 
@@ -778,8 +814,8 @@ def test_subcommand_parser_prints_what_the_full_parser_prints(capsys, argv):
 
 
 def test_cli_import_leaves_the_process_pool_out():
-    # Only a run with more than one worker needs the pool; its import
-    # costs every other command time at startup.
+    # No command runs a process pool, and importing one would cost every
+    # command time at startup.
     proc = subprocess.run(
         [
             sys.executable, "-c",

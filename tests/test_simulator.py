@@ -251,7 +251,7 @@ def test_replication_streams_are_reproducible_and_distinct():
 
 def test_master_seed_must_be_a_non_negative_integer():
     with pytest.raises(ParameterError):
-        _philox_stream(-1, 0)
+        run_replications(make_params((10.0, 0.0, 1.0), n=3), GameMode.WITH_REENTRY, 10, -1)
 
 
 def test_master_seed_must_fit_a_philox_key():
@@ -268,19 +268,6 @@ def test_rerun_is_identical():
     first = run_replications(params, GameMode.WITH_REENTRY, 2_000, 11)
     second = run_replications(params, GameMode.WITH_REENTRY, 2_000, 11)
     assert first == second
-
-
-@pytest.mark.parametrize("mode, n", [(GameMode.NO_REENTRY, 4), (GameMode.WITH_REENTRY, 200)])
-def test_worker_count_does_not_change_the_result(mode, n):
-    # At least four blocks, the last one partial, so every worker count
-    # below splits the run into several jobs: 4 blocks without
-    # re-entry, and 10 of 1310 games with it at n = 200.
-    count = 3 * BLOCK_SIZE + 500
-    params = attrition_params(n, 10)
-    serial = run_replications(params, mode, count, 5)
-    for workers in (2, 3):
-        parallel = run_replications(params, mode, count, 5, workers=workers)
-        assert parallel == serial
 
 
 def test_initial_wealth_changes_only_the_utility_estimate():
@@ -347,8 +334,6 @@ def test_replication_count_validated():
         (0, {}),
         (True, {}),
         (2.5, {}),
-        (10, {"workers": 0}),
-        (10, {"workers": 1.5}),
         (10, {"round_cap": 0}),
         (10, {"round_cap": 2.5}),
     ]:

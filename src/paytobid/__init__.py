@@ -33,8 +33,7 @@ _EXPORTS = {
     ),
     "simulator": ("SimulationResult", "run_replications"),
     "utility": (
-        "CarlUtility", "ParameterError", "RiskCoefficient", "RiskCoefficientError",
-        "UtilityRangeError",
+        "CarlUtility", "ParameterError", "RiskCoefficientError", "UtilityRangeError",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -21,8 +21,10 @@ is laid out once and one join interleaves it with the list columns.
 
 Every subcommand is a pure function of its configuration and seed:
 rerunning with the same inputs reproduces the output byte for byte.
-Tables go to stdout as JSON or CSV (17 significant digits either way);
-diagnostics go to stderr.  Exit codes: 0 success, also when the reader
+Tables go to stdout as JSON or CSV.  JSON writes each float as its
+shortest round-trip repr (0.9) and CSV with 17 significant digits
+(0.90000000000000002); either text reads back to the same double.
+Diagnostics go to stderr.  Exit codes: 0 success, also when the reader
 of stdout closes it early (as `| head` does); 2 configuration or
 invariant violation; 3 numerical failure (a quantity left the range of
 a float, the hazard rate is too small for the fee series to decay, or a
@@ -154,7 +156,8 @@ def _coerce(key: str, raw) -> object:
 def _load_config_file(path: str) -> Dict[str, object]:
     """Coerced settings of a config file, plus its sweep specs under "sweep"."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte order mark that some Windows editors write.
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
@@ -417,20 +420,14 @@ def _json_column(values: list) -> List[str]:
     return json.dumps(values, separators=("\n", ": "))[1:-1].split("\n") if values else []
 
 
-def _csv_column(values: list) -> List[str]:
-    return [_csv_cell(v) for v in values]
-
-
-def _encoded_rows(columns, blocks, encode):
-    """The encoded cells of each CSV row, block by block; encode maps a
-    list of cells to their texts."""
+def _encoded_rows(columns, blocks):
+    """The CSV-encoded cells of each row, block by block."""
     for block in blocks:
         cells = [block.get(c) for c in columns]
         size = next((len(v) for v in cells if isinstance(v, list)), 1)
-        yield from zip(
-            *(encode(v) if isinstance(v, list) else encode([v]) * size for v in cells),
-            strict=True,
-        )
+        texts = [[_csv_cell(x) for x in v] if isinstance(v, list) else [_csv_cell(v)] * size
+                 for v in cells]
+        yield from zip(*texts, strict=True)
 
 
 def _json_block(columns: List[str], heads: List[str], block: Block) -> str:
@@ -479,7 +476,7 @@ def render(command: str, columns: List[str], blocks: List[Block], fmt: str) -> s
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows(_encoded_rows(columns, blocks, _csv_column))
+        writer.writerows(_encoded_rows(columns, blocks))
         return buf.getvalue()
     # The text of json.dumps({"command": ..., "rows": ...}, indent=2) + "\n",
     # with the cells encoded by the C encoder, which json.dumps bypasses

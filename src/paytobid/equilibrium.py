@@ -20,7 +20,7 @@ import enum
 import math
 from typing import Mapping, NamedTuple
 
-from .utility import CarlUtility, CheckedRecord, ParameterError, RiskCoefficient, UtilityRangeError
+from .utility import CarlUtility, CheckedRecord, ParameterError, UtilityRangeError
 
 # DEFAULT_ROUND_CAP and GameMode set up a Monte Carlo run.  They live
 # here, where numpy is not imported, so the CLI can name them without
@@ -78,12 +78,12 @@ class AuctionParams(CheckedRecord, _AuctionParamsFields):
             )
         # rho is finite here, so this raises only for rho > 0, as a
         # RiskCoefficientError, which is a ParameterError.
-        RiskCoefficient(self.rho)
+        CarlUtility(self.rho)
         return self
 
     @property
     def utility(self) -> CarlUtility:
-        return CarlUtility.from_value(self.rho)
+        return CarlUtility(self.rho)
 
 
 def require_count(value: int, minimum: int, message: str) -> None:

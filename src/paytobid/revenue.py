@@ -112,10 +112,8 @@ def closed_form_revenue(params: AuctionParams) -> RevenueBreakdown:
 def revenue_supremum(params: AuctionParams) -> float:
     """Least upper bound of the total over all valid (sale_price, bid_fee).
 
-    Equals u(value) for rho < 0, approached as sale_price = 0 and
-    bid_fee -> 0; for rho = 0 the supremum is the object value itself
-    (the closed form is constant in (s, c) there).
+    Equals u(value), approached as sale_price = 0 and bid_fee -> 0; for
+    rho = 0 that is the object value itself, returned unchanged (the
+    closed form is constant in (s, c) there).
     """
-    if params.rho == 0.0:
-        return params.value
     return params.utility.evaluate(params.value)

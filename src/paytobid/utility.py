@@ -1,9 +1,11 @@
 """Constant absolute risk-loving (CARL) utility kernel.
 
 The kernel is u(x) = (1 - exp(-rho * x)) / rho for a risk coefficient
-rho < 0, normalized so that u(0) = 0.  A coefficient of exactly 0 is
-stored as-is and means risk neutrality, u(x) = x; it is never
-approximated by a tiny negative float.
+rho < 0, normalized so that u(0) = 0.  The kernel record, CarlUtility,
+is the checked coefficient itself: building one refuses a positive or
+non-finite rho with RiskCoefficientError.  A coefficient of exactly 0
+is stored as-is and means risk neutrality, u(x) = x exactly; it is
+never approximated by a tiny negative float.
 """
 
 from __future__ import annotations
@@ -43,52 +45,39 @@ class CheckedRecord:
         return cls(*iterable)
 
 
-class _RiskCoefficientFields(NamedTuple):
-    value: float
+class _CarlUtilityFields(NamedTuple):
+    rho: float
 
 
-class RiskCoefficient(CheckedRecord, _RiskCoefficientFields):
-    """Arrow-Pratt coefficient restricted to the risk-loving side.
+class CarlUtility(CheckedRecord, _CarlUtilityFields):
+    """Utility kernel u(x) = (1 - exp(-rho*x)) / rho with u(0) = 0.
 
-    ``value`` must satisfy value <= 0; value == 0 encodes risk
-    neutrality exactly.
+    The record is the checked risk coefficient: every way of building
+    one (the constructor, _replace, _make, unpickling) refuses a
+    non-finite or positive rho with RiskCoefficientError.  rho == 0 means
+    risk neutrality exactly: every operation then uses the risk-neutral
+    limit (u(x) = x, u'(x) = 1), so the kernel is continuous in rho at 0.
+    Evaluation goes through expm1, which keeps full precision for small
+    |rho * x| where the naive formula cancels catastrophically.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not math.isfinite(self.value):
-            raise RiskCoefficientError(
-                f"risk coefficient must be finite, got {self.value!r}"
-            )
-        if self.value > 0:
+        if not math.isfinite(self.rho):
+            raise RiskCoefficientError(f"risk coefficient must be finite, got {self.rho!r}")
+        if self.rho > 0:
             raise RiskCoefficientError(
                 "risk coefficient must satisfy rho <= 0 "
-                f"(risk-loving or risk-neutral), got {self.value!r}"
+                f"(risk-loving or risk-neutral), got {self.rho!r}"
             )
         return self
-
-
-class CarlUtility(NamedTuple):
-    """Utility kernel u(x) = (1 - exp(-rho*x)) / rho with u(0) = 0.
-
-    For rho == 0 every operation uses the risk-neutral limit (u(x) = x,
-    u'(x) = 1) so the kernel is continuous in rho at 0.  Evaluation goes
-    through expm1, which keeps full precision for small |rho * x| where
-    the naive formula cancels catastrophically.
-    """
-
-    rho: RiskCoefficient
-
-    @classmethod
-    def from_value(cls, rho: float) -> "CarlUtility":
-        return cls(RiskCoefficient(rho))
 
     def _exponent(self, x: float) -> float:
         if not math.isfinite(x):
             raise ValueError(f"amount must be finite, got {x!r}")
-        t = self.rho.value * x
+        t = self.rho * x
         if abs(t) > EXP_ARG_LIMIT:
             raise UtilityRangeError(
                 f"|rho * x| = {abs(t):g} exceeds the exp range "
@@ -99,7 +88,7 @@ class CarlUtility(NamedTuple):
     def evaluate(self, x: float) -> float:
         """Utility of a monetary amount x."""
         t = self._exponent(x)
-        r = self.rho.value
+        r = self.rho
         if r == 0.0:
             return x
         if abs(t) < 1e-8:
@@ -115,7 +104,7 @@ class CarlUtility(NamedTuple):
     def derivative(self, x: float) -> float:
         """Marginal utility u'(x) = exp(-rho*x); strictly positive."""
         t = self._exponent(x)
-        if self.rho.value == 0.0:
+        if self.rho == 0.0:
             return 1.0
         return math.exp(-t)
 

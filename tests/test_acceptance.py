@@ -193,7 +193,7 @@ def test_c05_equilibrium_verification():
 
 def test_c06_subgame_utility_matches_wealth_utility():
     problems = []
-    kernel = CarlUtility.from_value(-0.1)
+    kernel = CarlUtility(-0.1)
     for wealth in (0.0, 5.0):
         for mode, n in ((GameMode.WITH_REENTRY, 3), (GameMode.NO_REENTRY, 4)):
             params = make_params((10.0, 0.0, 1.0), rho=-0.1, n=n)
@@ -272,7 +272,7 @@ def test_c09_utility_identity_suite():
     problems = []
     amounts = [-10.0, -3.0, -0.5, 0.0, 1.0, 4.5, 10.0]
     for rho in (0.0, -0.01, -0.1, -1.0):
-        kernel = CarlUtility.from_value(rho)
+        kernel = CarlUtility(rho)
         for w in amounts:
             for x in amounts:
                 direct = kernel.evaluate(w + x)
@@ -280,7 +280,7 @@ def test_c09_utility_identity_suite():
                 if gap > 1e-12 * max(1.0, abs(direct)):
                     problems.append(f"shift identity rho={rho} w={w} x={x}: {gap:.2e}")
     for rho in (-0.01, -0.1, -1.0):
-        kernel = CarlUtility.from_value(rho)
+        kernel = CarlUtility(rho)
         for x in (0.1, 0.5, 1.0, 4.5, 10.0):
             if not kernel.evaluate(x) < x * kernel.derivative(x):
                 problems.append(f"superlinearity fails rho={rho} x={x}")
@@ -288,7 +288,7 @@ def test_c09_utility_identity_suite():
                 if not kernel.evaluate((1 + alpha) * x) > (1 + alpha) * kernel.evaluate(x):
                     problems.append(f"scaling gain fails rho={rho} x={x} alpha={alpha}")
     for rho in (-1e-3, -1e-6, -1e-9):
-        kernel = CarlUtility.from_value(rho)
+        kernel = CarlUtility(rho)
         for x in (0.0, 0.5, 1.0, 10.0, 100.0):
             if abs(kernel.evaluate(x) - x) > abs(rho) * x * x:
                 problems.append(f"continuity envelope fails rho={rho} x={x}")

@@ -650,6 +650,18 @@ def test_config_file_that_is_not_utf8_exits_2(capsys, tmp_path, text):
 
 
 @pytest.mark.parametrize(
+    "text", ['{"n": 3, "value": 10, "bid_fee": 1}', "n = 3\nvalue = 10\nbid-fee = 1\n"],
+    ids=["json", "lines"],
+)
+def test_config_file_with_a_byte_order_mark_is_read(capsys, tmp_path, text):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"\xef\xbb\xbf" + text.encode())  # as some Windows editors save it
+    code, out, err = run_cli(capsys, ["equilibrium", "--config", str(config)])
+    assert (code, err) == (0, "")
+    assert out == run_cli(capsys, ["equilibrium", "--n", "3", "--value", "10", "--bid-fee", "1"])[1]
+
+
+@pytest.mark.parametrize(
     "flags,config",
     [
         (["--sweep", "n=2,3", "--sweep", "n=4"], None),
@@ -892,7 +904,7 @@ def test_simulate_runs_without_dataclasses():
 GONE_FROM_THE_PACKAGE = (
     "GameRecord", "PolicyCoverageError", "RoundOutcome", "play_one_game",
     "indifference_residual", "solve_equilibrium_by_bisection", "hazard_rate",
-    "expected_entrants",
+    "expected_entrants", "RiskCoefficient",
 )
 
 
@@ -933,13 +945,13 @@ def test_exported_names_are_pinned():
     assert set(paytobid.__all__) == {
         "AttritionProfile", "AuctionParams", "CarlUtility", "DEFAULT_ROUND_CAP",
         "EquilibriumPolicy", "GameMode", "ParameterError", "RevenueBreakdown",
-        "RiskCoefficient", "RiskCoefficientError", "SeriesLengthError", "SimulationResult",
+        "RiskCoefficientError", "SeriesLengthError", "SimulationResult",
         "UtilityRangeError", "attrition_profile", "bid_count_distribution", "bid_probability",
         "closed_form_revenue", "endgame_time_fraction", "expected_passage_time",
         "prob_two_player_endgame", "revenue_series", "revenue_supremum", "run_replications",
         "win_probability",
     }
-    assert len(paytobid.__all__) == 24
+    assert len(paytobid.__all__) == 23
 
 
 def test_package_import_loads_no_submodule():

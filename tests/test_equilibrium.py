@@ -11,7 +11,6 @@ from paytobid import (
     CarlUtility,
     EquilibriumPolicy,
     ParameterError,
-    RiskCoefficient,
     RiskCoefficientError,
     bid_probability,
     closed_form_revenue,
@@ -68,8 +67,7 @@ PARAMS = AuctionParams(n=3, value=10.0, sale_price=0.0, bid_fee=1.0, rho=-0.1)
     "record",
     [
         PARAMS,
-        RiskCoefficient(-0.1),
-        CarlUtility.from_value(-0.1),
+        CarlUtility(-0.1),
         EquilibriumPolicy.from_params(PARAMS),
         closed_form_revenue(PARAMS),
     ],

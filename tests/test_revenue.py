@@ -219,6 +219,8 @@ def test_supremum_values():
     assert revenue_supremum(risk) == pytest.approx(17.182818284590454, rel=1e-14)
     neutral = make_params((10.0, 0.0, 1.0), rho=0.0)
     assert revenue_supremum(neutral) == 10.0
+    # A negative zero is risk neutrality too: the value comes back unchanged.
+    assert revenue_supremum(make_params((10.0, 0.0, 1.0), rho=-0.0)) == 10.0
 
 
 @pytest.mark.parametrize("s", [0.0, 1.0, 5.0])

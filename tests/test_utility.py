@@ -11,7 +11,6 @@ import paytobid
 from paytobid import (
     CarlUtility,
     ParameterError,
-    RiskCoefficient,
     RiskCoefficientError,
     UtilityRangeError,
     equilibrium,
@@ -25,7 +24,7 @@ AMOUNT_GRID = [-10.0, -3.0, -0.5, 0.0, 1.0, 4.5, 10.0]
 
 
 def u(rho):
-    return CarlUtility.from_value(rho)
+    return CarlUtility(rho)
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +194,17 @@ def test_comparison_invariant_under_wealth_shift(rho, lottery_x, lottery_y, alph
 
 def test_positive_rho_rejected():
     with pytest.raises(RiskCoefficientError):
-        RiskCoefficient(0.1)
+        CarlUtility(0.1)
     with pytest.raises(RiskCoefficientError):
-        CarlUtility.from_value(1e-12)
+        CarlUtility(1e-12)
+
+
+def test_kernel_built_directly_is_checked_and_evaluates():
+    # The kernel record is the checked coefficient: a risk-averse rho is
+    # refused on construction, and a valid one evaluates as before.
+    with pytest.raises(RiskCoefficientError):
+        CarlUtility(0.5)
+    assert CarlUtility(-0.1).evaluate(1.0) == 1.0517091807564762
 
 
 def test_input_errors_are_one_family():
@@ -208,30 +215,30 @@ def test_input_errors_are_one_family():
 
 @pytest.mark.parametrize("bad", [0.1, math.nan, math.inf])
 def test_every_copy_of_a_risk_coefficient_is_checked(bad):
-    rho = RiskCoefficient(-0.1)
+    kernel = CarlUtility(-0.1)
     with pytest.raises(RiskCoefficientError):
-        rho._replace(value=bad)
+        kernel._replace(rho=bad)
     with pytest.raises(RiskCoefficientError):
-        RiskCoefficient._make([bad])
-    forged = tuple.__new__(RiskCoefficient, (bad,))  # built around the check
+        CarlUtility._make([bad])
+    forged = tuple.__new__(CarlUtility, (bad,))  # built around the check
     with pytest.raises(RiskCoefficientError):
         pickle.loads(pickle.dumps(forged))
-    assert pickle.loads(pickle.dumps(rho)) == rho
+    assert pickle.loads(pickle.dumps(kernel)) == kernel
 
 
 def test_kernel_equality_hash_and_repr():
-    kernel = CarlUtility.from_value(-0.1)
-    assert kernel == CarlUtility(RiskCoefficient(-0.1))
-    assert hash(kernel) == hash(CarlUtility(RiskCoefficient(-0.1)))
-    assert kernel != CarlUtility.from_value(-0.2)
-    assert repr(kernel) == "CarlUtility(rho=RiskCoefficient(value=-0.1))"
+    kernel = CarlUtility(-0.1)
+    assert kernel == CarlUtility(rho=-0.1)
+    assert hash(kernel) == hash(CarlUtility(rho=-0.1))
+    assert kernel != CarlUtility(-0.2)
+    assert repr(kernel) == "CarlUtility(rho=-0.1)"
 
 
 def test_non_finite_rho_rejected():
     with pytest.raises(RiskCoefficientError):
-        RiskCoefficient(float("nan"))
+        CarlUtility(float("nan"))
     with pytest.raises(RiskCoefficientError):
-        RiskCoefficient(float("-inf"))
+        CarlUtility(float("-inf"))
 
 
 def test_overflow_guard():

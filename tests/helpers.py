@@ -7,7 +7,7 @@ runs: identical (params, mode, count, seed) keys hit the same entry.
 
 import math
 
-from hypothesis import assume
+from hypothesis import Phase, assume
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -82,18 +82,25 @@ SUBGAME_SEEDS = {(0.0, "reentry"): 61, (5.0, "reentry"): 62,
 # The valid domain: n >= 2, 0 < c < v - s, rho <= 0.
 # ---------------------------------------------------------------------------
 
+# The phases of the slow property tests: every phase but shrinking, so a
+# failure is reported as first found, in seconds rather than minutes of
+# shrinking.  Each test still draws all of its max_examples when it passes.
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
+
+
 def log_uniform(lo_exp, hi_exp):
     return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
 
 
 @st.composite
-def domain_points(draw):
+def domain_points(draw, max_n=1000):
     """Flags of a valid point: log-uniform magnitudes, c near 0 or near v - s.
 
-    rho is drawn through rho * (v - s), the curvature of the utility over
-    the prize, so every scale of the prize meets every degree of risk love.
+    n is log-uniform from 2 to max_n.  rho is drawn through rho * (v - s),
+    the curvature of the utility over the prize, so every scale of the
+    prize meets every degree of risk love.
     """
-    n = round(draw(log_uniform(math.log10(2), 3)))
+    n = round(draw(log_uniform(math.log10(2), math.log10(max_n))))
     sale_price = draw(st.one_of(st.just(0.0), log_uniform(-300, 300)))
     value = sale_price + draw(log_uniform(-300, 300))
     room = value - sale_price

@@ -1,25 +1,29 @@
-"""The tests' independent references: a scalar game and a bisection.
+"""The tests' independent references: a scalar game, a bisection, a whole solve.
 
 ``play_one_game`` plays one game of the bid/no-bid rules in a plain
 Python loop, drawing one uniform per active player in roster order, and
 can log every effective round.  ``solve_equilibrium_by_bisection``
 finds p(k) from the indifference condition without the closed form.
-Neither the CLI nor any of the paper's results calls them, so they live
-here rather than in ``paytobid``: the package keeps only what it runs,
-and the tests keep a second, deliberately simple statement of the game
-and of the equilibrium to hold the batched engine and the closed form
-against.
+``solve_every_state`` forward-solves the attrition chain over every
+state from 2 to n, where the package solves only the states a start
+reads.  Neither the CLI nor any of the paper's results calls them, so
+they live here rather than in ``paytobid``: the package keeps only what
+it runs, and the tests keep a second, deliberately simple statement of
+the game, of the equilibrium and of the chain solve to hold the batched
+engine, the closed form and the cut solve against.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from paytobid import DEFAULT_ROUND_CAP, AuctionParams, EquilibriumPolicy, GameMode, ParameterError
+from paytobid.attrition import _transition_rows
 from paytobid.equilibrium import require_active_count, require_count
 from paytobid.simulator import _tracks_two_players
 
@@ -192,3 +196,37 @@ def solve_equilibrium_by_bisection(
         else:
             return mid
     return (lo + hi) / 2.0
+
+
+def solve_every_state(
+    params: AuctionParams,
+    n: int,
+    reward: Callable[[int, List[float]], Sequence[float]],
+) -> List[float]:
+    """x[n], one entry per reward column, solving x[k] = r[k] + sum_m T[k, m] x[m].
+
+    The attrition chain's windowed forward solve over every state from
+    2 to n, as the package ran it before it learned to skip the states
+    that x[n] never reads.  reward(k, row) gives the columns of r[k]
+    from row k of T, as _transition_rows builds it.  x is 0 on the ended
+    game (k <= 1).  Holds O(n * columns) floats.  Raises
+    FloatingPointError when an expectation of any state overflows the
+    float range.
+    """
+    columns: List[List[float]] = []  # column j holds x[2], x[3], ... of reward j
+    ks = range(2, n + 1)
+    for k, row in zip(ks, _transition_rows(params, ks)):
+        rewards = reward(k, row)
+        if k == 2:
+            columns = [[] for _ in rewards]
+        leave = math.fsum(row[: k - 1])
+        moves = row[1 : k - 1]  # T[k, m] for 2 <= m < k, as far as the row reaches
+        for x, r in zip(columns, rewards):
+            total = r + math.fsum(map(operator.mul, moves, x))
+            x.append(total / leave if leave else math.inf)
+            if not math.isfinite(x[-1]):
+                raise FloatingPointError(
+                    f"overflow: an expectation of the chain from {k} players passes the "
+                    f"float range; leaving that state has chance {leave!r}"
+                )
+    return [x[-1] for x in columns]

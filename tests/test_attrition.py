@@ -1,10 +1,15 @@
 """Attrition DP: bidder-count distribution, passage times, endgame funnel."""
 
+import contextlib
+import io
+import json
 import math
 import operator
+import time
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from paytobid import (
@@ -14,23 +19,30 @@ from paytobid import (
     bid_count_distribution,
     attrition_profile,
     bid_probability,
+    closed_form_revenue,
     endgame_time_fraction,
     expected_passage_time,
     prob_two_player_endgame,
+    win_probability,
 )
-from paytobid.equilibrium import odds_at
+from paytobid.attrition import _funnel_reward, _solve
+from paytobid.cli import main
+from paytobid.equilibrium import odds_at, round_odds
 
 from helpers import (
     ATTRITION_POINTS,
     FEASIBLE_COMBOS,
     MC_COUNT,
+    NO_SHRINK,
     attrition_params,
     attrition_seed,
     domain_points,
     enumerate_two_player_round,
+    log_uniform,
     make_params,
     mp_attrition_chain,
 )
+from reference import solve_every_state
 
 LADDER = [10.0, 100.0, 1000.0]
 
@@ -301,6 +313,147 @@ def test_windowed_rows_solve_as_whole_rows(flags):
     for value, reference in zip(got, expected):
         if reference is not None:
             assert abs(value - reference) <= 1e-12 * abs(reference), (value, reference)
+
+
+def flag_params(flags):
+    values = dict(flag[2:].split("=", 1) for flag in flags)
+    return AuctionParams(
+        n=int(values["n"]), value=float(values["value"]),
+        sale_price=float(values["sale-price"]), bid_fee=float(values["bid-fee"]),
+        rho=float(values["rho"]),
+    )
+
+
+def profile_rewards(k, row):
+    """attrition_profile's three reward columns."""
+    return 1.0, float(k > 2), _funnel_reward(k, row)
+
+
+def profile_bits(solve, params):
+    """The profile's figures as float.hex, or the type of the error the solve raises."""
+    try:
+        one, two, funnel = solve(params, params.n, profile_rewards)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+    return one.hex(), two.hex(), funnel.hex() if params.n >= 3 else None
+
+
+def cut_profile(params, n, _):
+    return attrition_profile(params, n)
+
+
+# Row n of this start is cut well below n - 1, so the cut solve skips
+# most states; the second overflows at two players, so both solves raise.
+CUT_ROW = ["--n=2000", "--value=100.0", "--sale-price=0.0", "--bid-fee=1.0", "--rho=0.0"]
+OVERFLOWING_START = ["--n=4", "--value=1e+300", "--sale-price=0.0", "--bid-fee=1e-10",
+                     "--rho=0.0"]
+
+
+@settings(max_examples=100, deadline=None, phases=NO_SHRINK)
+@given(domain_points(max_n=2000))
+@example(CUT_ROW)
+@example(OVERFLOWING_START)
+def test_cut_solve_is_the_whole_solve_bit_for_bit(flags):
+    # The cut solve reads the same row entries, and each of its states
+    # sums them with fsum in the same order, so every float is the same;
+    # a start whose states overflow raises the same error either way.
+    params = flag_params(flags)
+    assert profile_bits(cut_profile, params) == profile_bits(solve_every_state, params)
+
+
+def two_player_identity(params, rounds_to_two, funnel):
+    """rounds_to_one from the identity: a two-player state lasts (1 + lambda) / (2 lambda)."""
+    lam = win_probability(params)
+    return rounds_to_two + funnel * (1.0 + lam) / (2.0 * lam)
+
+
+def test_a_million_players_solve_within_a_second():
+    # Row n keeps a few dozen entries, so the solve builds about as many
+    # states whatever n is; no whole solve is cheap here, so the figure
+    # is checked through the two-player identity.
+    params = AuctionParams(n=10**6, value=100.0, sale_price=0.0, bid_fee=1.0, rho=0.0)
+    flags = ["attrition", "--n", "1000000", "--value", "100", "--bid-fee", "1"]
+    out = io.StringIO()
+    start = time.perf_counter()
+    profile = attrition_profile(params, params.n)
+    with contextlib.redirect_stdout(out):
+        code = main(flags)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    (row,) = json.loads(out.getvalue())["rows"]
+    assert row["expected_rounds_to_one"] == profile.rounds_to_one
+    assert row["expected_rounds_to_two"] == profile.rounds_to_two
+    closed = two_player_identity(params, profile.rounds_to_two, profile.two_player_endgame_prob)
+    assert abs(profile.rounds_to_one - closed) <= 1e-12 * profile.rounds_to_one
+
+
+@settings(max_examples=200, deadline=None, phases=NO_SHRINK)
+@given(
+    st.integers(3, 1500),
+    log_uniform(0, 2),
+    log_uniform(-6, math.log10(0.98)),
+    st.floats(-1.0, 0.0),
+)
+def test_two_player_identity(n, value, share, rho):
+    params = AuctionParams(n=n, value=value, sale_price=0.0, bid_fee=value * share, rho=rho)
+    profile = attrition_profile(params, n)
+    closed = two_player_identity(params, profile.rounds_to_two, profile.two_player_endgame_prob)
+    assert abs(profile.rounds_to_one - closed) <= 1e-12 * profile.rounds_to_one
+
+
+@pytest.mark.parametrize("ratio", [1.01, 10.0, 1e3, 1e6])
+@pytest.mark.parametrize("n", [3, 50, 300])
+def test_two_player_identity_at_the_40_digit_points(n, ratio):
+    params = ladder_params(ratio, n)
+    one, two, funnel = mp_attrition_chain(params)
+    with mp.workdps(40):
+        lam = mpf(params.bid_fee) / (mpf(params.value) - mpf(params.sale_price))
+        assert abs(one - (two + funnel * (1 + lam) / (2 * lam))) <= mpf(10) ** -30 * one
+    profile = attrition_profile(params, n)
+    closed = two_player_identity(params, profile.rounds_to_two, profile.two_player_endgame_prob)
+    assert abs(profile.rounds_to_one - closed) <= 1e-12 * profile.rounds_to_one
+
+
+def wald_gap(params):
+    """Relative gap of s + c E[bids] from the chain to the closed-form revenue.
+
+    Wald: the expected bids of a game sum the expected bids of each
+    effective round, so s + c E[bids] is the paper's revenue, whatever
+    n.  None where either side passes the float range.
+    """
+    try:
+        log_lam = math.log(win_probability(params))
+        (bids,) = _solve(params, params.n, lambda k, row: (round_odds(log_lam, k).entrants,))
+        total = closed_form_revenue(params).total
+    except ArithmeticError:  # an expectation or u(x) past the float range
+        return None
+    chain = params.sale_price + params.bid_fee * bids
+    if not (math.isfinite(chain) and math.isfinite(total)):
+        return None
+    return abs(chain - total) / total
+
+
+# Row k's entries carry a relative error of about 1.4 lgamma(k + 1)
+# times the double epsilon, from log C(k, m) taken as a difference of
+# lgammas; that passes 1e-12 from about 500 players on.  The property is
+# checked below that, and the starts past it are pinned as a known
+# failure, which passes once the rows are built to their rounding.
+WALD_MAX_N = 400
+
+
+@settings(max_examples=200, deadline=None, phases=NO_SHRINK)
+@given(domain_points(max_n=WALD_MAX_N))
+def test_chain_bids_are_the_closed_form_revenue(flags):
+    gap = wald_gap(flag_params(flags))
+    assume(gap is not None)
+    assert gap <= 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason="rows lose lgamma(k + 1) * eps to cancellation")
+@pytest.mark.parametrize("n,fee", [(979, 0.9999999720566346), (1500, 0.999999999999)])
+def test_chain_bids_are_the_closed_form_revenue_past_a_few_hundred_players(n, fee):
+    gap = wald_gap(AuctionParams(n=n, value=1.0, sale_price=0.0, bid_fee=fee, rho=0.0))
+    assert gap <= 1e-12
 
 
 def test_profile_requires_two_players():

@@ -12,7 +12,7 @@ import sys
 from datetime import timedelta
 
 import pytest
-from hypothesis import Phase, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -28,14 +28,9 @@ from paytobid import (
 )
 from paytobid.cli import main
 
-from helpers import domain_points, make_params
+from helpers import NO_SHRINK, domain_points, make_params
 
 BASE = ["--n", "3", "--value", "10", "--sale-price", "0", "--bid-fee", "1"]
-
-# The phases of the slow property tests: every phase but shrinking, so a
-# failure is reported as first found, in seconds rather than minutes of
-# shrinking.  Each test still draws all of its max_examples when it passes.
-NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
 
 
 def run_cli(capsys, argv):

@@ -40,6 +40,11 @@ A start reads only the states its own row reaches, and those read only
 states below them.  So the solve for a start of n builds row n and the
 rows 2..top(n), with top(n) a few dozen counts above the mode, and
 never the rows in between: its cost is set by the window, not by n.
+
+The chain is Markov in the count, so every figure is a function of the
+grid point alone.  Each public function takes the start from params.n,
+which AuctionParams has already checked to be at least 2, and the rows
+read the point only through log lambda, which a solve forms once.
 """
 
 from __future__ import annotations
@@ -63,18 +68,18 @@ _LOG_WINDOW = 64.0 * math.log(2.0)
 
 
 def _transition_rows(
-    params: AuctionParams, ks: range, window: float = _LOG_WINDOW
+    log_lam: float, ks: range, window: float = _LOG_WINDOW
 ) -> Iterator[List[float]]:
     """Row k of the chain for each k in ks: entry m - 1 holds T[k, m].
 
-    The row keeps m = 1 up to the mode and m = 2, then each m above
-    them while its log term is within window of the mode's.  A walk
-    that reaches k - 1 keeps T[k, k] too, so a window of math.inf keeps
-    every row whole.  Each log-factorial is math.lgamma(i + 1.0), taken
-    only for the i that a kept entry reads, so a row costs its own
-    width whatever k is.
+    The rows read the grid point only through log_lam, the logarithm of
+    the win ratio lambda, which is the same for every k.  The row keeps
+    m = 1 up to the mode and m = 2, then each m above them while its
+    log term is within window of the mode's.  A walk that reaches k - 1
+    keeps T[k, k] too, so a window of math.inf keeps every row whole.
+    Each log-factorial is math.lgamma(i + 1.0), taken only for the i
+    that a kept entry reads, so a row costs its own width whatever k is.
     """
-    log_lam = math.log(win_probability(params))
     lgamma = math.lgamma
     for k in ks:
         odds = round_odds(log_lam, k)  # busy = 1 - q**k is the replay normaliser
@@ -94,16 +99,16 @@ def _transition_rows(
 
 def _solve(
     params: AuctionParams,
-    n: int,
     reward: Callable[[int, List[float]], Sequence[float]],
 ) -> List[float]:
     """x[n], one entry per reward column, solving x[k] = r[k] + sum_m T[k, m] x[m].
 
-    reward(k, row) gives the columns of r[k] from row k of T, as
-    _transition_rows builds it.  x is 0 on the ended game (k <= 1), and
-    a state whose reward is 0 and that leads only to such states solves
-    to 0, which is how a caller makes the states at or below its target
-    absorbing.
+    n is params.n, the start.  lambda is formed once, and every row is
+    built from its logarithm.  reward(k, row) gives the columns of r[k]
+    from row k of T, as _transition_rows builds it.  x is 0 on the ended
+    game (k <= 1), and a state whose reward is 0 and that leads only to
+    such states solves to 0, which is how a caller makes the states at
+    or below its target absorbing.
 
     x[n] reads x[m] only for the m < n that row n keeps, and each of
     those reads only states below it.  So the solve builds row n first,
@@ -116,9 +121,11 @@ def _solve(
     float range, as it does once leaving such a state is less likely
     than 1e-308.
     """
-    (last,) = _transition_rows(params, range(n, n + 1))
+    n = params.n
+    log_lam = math.log(win_probability(params))
+    (last,) = _transition_rows(log_lam, range(n, n + 1))
     ks = range(2, min(len(last), n - 1) + 1)
-    rows = chain(_transition_rows(params, ks), [last])
+    rows = chain(_transition_rows(log_lam, ks), [last])
     columns: List[List[float]] = []  # column j holds x[2], ..., x[top] of reward j
     for k, row in zip(chain(ks, [n]), rows):
         rewards = reward(k, row)
@@ -152,34 +159,34 @@ def bid_count_distribution(params: AuctionParams, k: int) -> List[float]:
     The row is whole: all k entries, however small.
     """
     require_active_count(k)
-    return next(_transition_rows(params, range(k, k + 1), window=math.inf))
+    log_lam = math.log(win_probability(params))
+    return next(_transition_rows(log_lam, range(k, k + 1), window=math.inf))
 
 
-def expected_passage_time(params: AuctionParams, n_players: int, target: int) -> float:
+def expected_passage_time(params: AuctionParams, target: int) -> float:
     """Expected effective rounds before <= target players remain.
 
-    Defined for a start of n_players without re-entry; returns 0 when
-    n_players <= target (nothing to wait for).  target = 1 is the
+    Defined for a start of params.n players without re-entry; returns 0
+    when params.n <= target (nothing to wait for).  target = 1 is the
     expected length of the whole game.
     """
     require_count(target, 1, "target player count must be an integer >= 1, got {!r}")
-    require_count(n_players, 2, "starting player count must be an integer >= 2, got {!r}")
-    (length,) = _solve(params, n_players, lambda k, row: (float(k > target),))
+    (length,) = _solve(params, lambda k, row: (float(k > target),))
     return length
 
 
-def prob_two_player_endgame(params: AuctionParams, n_players: int) -> float:
-    """Chance the game passes through a two-player state before ending.
+def prob_two_player_endgame(params: AuctionParams) -> float:
+    """Chance a game of params.n players passes through a two-player state.
 
     Solves P(k) = [P(Z=2) + sum_{3<=j<k} P(Z=j) P(j)] / (1 - P(Z=k))
     ascending in k, where Z is the bidder count of an effective round.
-    Requires n_players >= 3; with two starting players the event is
+    Requires params.n >= 3; with two starting players the event is
     vacuous.  Solved alone, it stays finite where attrition_profile overflows.
     """
     require_count(
-        n_players, 3, "two-player endgame requires a start of at least 3 players, got {!r}"
+        params.n, 3, "two-player endgame requires a start of at least 3 players, got {!r}"
     )
-    (funnel,) = _solve(params, n_players, lambda k, row: (_funnel_reward(k, row),))
+    (funnel,) = _solve(params, lambda k, row: (_funnel_reward(k, row),))
     return funnel
 
 
@@ -198,28 +205,27 @@ class AttritionProfile(NamedTuple):
         return self.rounds_to_two / self.rounds_to_one
 
 
-def attrition_profile(params: AuctionParams, n_players: int) -> AttritionProfile:
-    """Rounds to <= 1 and <= 2 players, and the funnel, for one start.
+def attrition_profile(params: AuctionParams) -> AttritionProfile:
+    """Rounds to <= 1 and <= 2 players, and the funnel, from params.n players.
 
-    Equals expected_passage_time at targets 1 and 2 and
-    prob_two_player_endgame, but solves the chain once with a
+    Equals expected_passage_time(params, 1), expected_passage_time(params, 2)
+    and prob_two_player_endgame(params), but solves the chain once with a
     three-column reward instead of once per figure.
     """
-    require_count(n_players, 2, "starting player count must be an integer >= 2, got {!r}")
     rounds_to_one, rounds_to_two, funnel = _solve(
-        params, n_players, lambda k, row: (1.0, float(k > 2), _funnel_reward(k, row))
+        params, lambda k, row: (1.0, float(k > 2), _funnel_reward(k, row))
     )
-    return AttritionProfile(rounds_to_one, rounds_to_two, funnel if n_players >= 3 else None)
+    return AttritionProfile(rounds_to_one, rounds_to_two, funnel if params.n >= 3 else None)
 
 
-def endgame_time_fraction(params: AuctionParams, n_players: int) -> float:
+def endgame_time_fraction(params: AuctionParams) -> float:
     """Share of the expected game length spent getting down to 2 players.
 
-    expected_passage_time(n, 2) / expected_passage_time(n, 1); shrinks
-    toward zero as the value-to-fee ratio grows, i.e. the two-player
-    war eats the whole game.
+    expected_passage_time(params, 2) / expected_passage_time(params, 1)
+    for a start of params.n >= 3 players; shrinks toward zero as the
+    value-to-fee ratio grows, i.e. the two-player war eats the whole game.
     """
     require_count(
-        n_players, 3, "endgame fraction requires a start of at least 3 players, got {!r}"
+        params.n, 3, "endgame fraction requires a start of at least 3 players, got {!r}"
     )
-    return attrition_profile(params, n_players).endgame_time_fraction
+    return attrition_profile(params).endgame_time_fraction

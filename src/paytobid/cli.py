@@ -26,8 +26,10 @@ shortest round-trip repr (0.9) and CSV with 17 significant digits
 (0.90000000000000002); either text reads back to the same double.
 Diagnostics go to stderr.  Exit codes: 0 success, also when the reader
 of stdout closes it early (as `| head` does); 2 configuration or
-invariant violation; 3 numerical failure (a quantity left the range of
-a float, the hazard rate is too small for the fee series to decay, or a
+invariant violation, a negative replication count among them; 3
+numerical failure (a quantity left the range of a float, as an
+expectation of the attrition chain or a simulated revenue or utility
+can; the hazard rate is too small for the fee series to decay; or a
 Monte Carlo run would be expected to play more raw rounds than its
 budget); a sweep reports such a grid point, or one whose replications
 all hit the round cap, as a FAILED row instead.
@@ -283,7 +285,7 @@ _ATTRITION_MC = {
 
 
 def _attrition_rows(cfg: argparse.Namespace, params: AuctionParams) -> List[Block]:
-    profile = attrition_profile(params, params.n)
+    profile = attrition_profile(params)
     row: Block = {
         "expected_rounds_to_one": profile.rounds_to_one,
         "expected_rounds_to_two": profile.rounds_to_two,
@@ -316,7 +318,7 @@ class TableSpec(NamedTuple):
     rows: Callable[[argparse.Namespace, AuctionParams], List[Block]]  # blocks of a valid point
     settings: Tuple[str, ...] = ()  # read by rows and build_table besides parameters and format
     skipped: Tuple[str, ...] = ()  # settings a SKIPPED or FAILED row still reports
-    needs_replications: bool = False  # refuse the run, even a fully skipped one
+    needs_replications: bool = False  # at least one replication, not just a count >= 0
 
     def setting_keys(self) -> List[str]:
         """The SETTINGS keys the subcommand reads, in SETTINGS order."""
@@ -367,10 +369,14 @@ def build_table(name: str, spec: TableSpec, cfg: argparse.Namespace):
     an ArithmeticError a FAILED block of one row, each with the error as
     its reason.  Status, reason and the parameters are scalars of every
     block.  Without a sweep the error is raised instead, so a single run
-    fails loudly with exit code 2 or 3.
+    fails loudly with exit code 2 or 3.  A replication count below 0, or
+    below 1 where the table needs_replications, refuses the whole run,
+    even a fully skipped one.
     """
-    if spec.needs_replications and cfg.replications < 1:
-        raise ConfigError(f"{name} needs --replications >= 1")
+    if "replications" in spec.settings:
+        least = 1 if spec.needs_replications else 0
+        if cfg.replications < least:
+            raise ConfigError(f"{name} needs --replications >= {least}")
     base = {key: getattr(cfg, key) for key in _PARAM_COLUMNS}
     skipped = {key: getattr(cfg, key) for key in spec.skipped}
     names = [axis for axis, _ in cfg.sweep]
@@ -539,8 +545,8 @@ def main(argv=None) -> int:
         return 2
     except ArithmeticError as exc:
         # SeriesLengthError, UtilityRangeError, RawRoundBudgetError, and
-        # the FloatingPointError of the attrition chain or of the Monte
-        # Carlo utility estimate.
+        # the FloatingPointError of the attrition chain or of a Monte
+        # Carlo revenue or utility estimate.
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     try:

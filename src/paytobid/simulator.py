@@ -381,11 +381,12 @@ def _simulate_block(
     The utility column is evaluated for completed games only and reads 0
     for truncated ones, which no mean uses.
     """
-    game = _play_block(params, mode, bid_prob, _philox_stream(master_seed, b), size, round_cap)
-    kept = slice(None)  # the holdings of completed games, without a copy if that is all
-    if game.truncated.any():
-        kept = ~game.truncated if game.bid_counts.ndim == 2 else ~game.truncated[game.holder]
-    with np.errstate(over="raise"):  # a game's utility sum past the float range raises
+    stream = _philox_stream(master_seed, b)
+    with np.errstate(over="raise"):  # a revenue or utility sum past the float range raises
+        game = _play_block(params, mode, bid_prob, stream, size, round_cap)
+        kept = slice(None)  # the holdings of completed games, without a copy if that is all
+        if game.truncated.any():
+            kept = ~game.truncated if game.bid_counts.ndim == 2 else ~game.truncated[game.holder]
         held = _holding_utility(params, initial_wealth, game.bid_counts[kept], game.won[kept])
         if held.ndim == 2:  # re-entry: a row per game, summed along the roster
             per_game = np.zeros(size)
@@ -433,8 +434,9 @@ def run_replications(
     blocks are played and reduced in replication order, so a rerun is
     byte-identical.
 
-    Raises FloatingPointError when a player utility figure leaves the
-    float range, as it can at a large initial wealth with rho < 0.
+    Raises FloatingPointError when a game's revenue or a player utility
+    figure leaves the float range: the revenue can at a fee near the
+    largest float, and the utility at a large initial wealth with rho < 0.
 
     Raises AllTruncatedError when every replication hits the round cap.
 

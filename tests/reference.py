@@ -24,7 +24,7 @@ import numpy as np
 
 from paytobid import DEFAULT_ROUND_CAP, AuctionParams, EquilibriumPolicy, GameMode, ParameterError
 from paytobid.attrition import _transition_rows
-from paytobid.equilibrium import require_active_count, require_count
+from paytobid.equilibrium import require_active_count, require_count, win_probability
 from paytobid.simulator import _tracks_two_players
 
 
@@ -215,7 +215,7 @@ def solve_every_state(
     """
     columns: List[List[float]] = []  # column j holds x[2], x[3], ... of reward j
     ks = range(2, n + 1)
-    for k, row in zip(ks, _transition_rows(params, ks)):
+    for k, row in zip(ks, _transition_rows(math.log(win_probability(params)), ks)):
         rewards = reward(k, row)
         if k == 2:
             columns = [[] for _ in rewards]

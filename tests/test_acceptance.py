@@ -225,11 +225,11 @@ def test_c07_attrition_dp_versus_simulation(mc):
             total_compute += mc.duration(params, GameMode.NO_REENTRY, MC_COUNT, seed)
             checks = [
                 ("rounds to 1", result.mean_effective_length,
-                 result.se_effective_length, expected_passage_time(params, n, 1)),
+                 result.se_effective_length, expected_passage_time(params, 1)),
                 ("rounds to 2", result.mean_rounds_to_two,
-                 result.se_rounds_to_two, expected_passage_time(params, n, 2)),
+                 result.se_rounds_to_two, expected_passage_time(params, 2)),
                 ("funnel prob", result.two_player_passage_fraction,
-                 result.se_two_player_passage_fraction, prob_two_player_endgame(params, n)),
+                 result.se_two_player_passage_fraction, prob_two_player_endgame(params)),
             ]
             for label, mean, se, dp in checks:
                 if abs(mean - dp) > 3.0 * se:
@@ -249,9 +249,9 @@ def test_c08_attrition_limit_trends():
     lengths, funnels, fractions = [], [], []
     for ratio in ladder:
         params = attrition_params(4, ratio)
-        lengths.append(expected_passage_time(params, 4, 1))
-        funnels.append(prob_two_player_endgame(params, 4))
-        fractions.append(endgame_time_fraction(params, 4))
+        lengths.append(expected_passage_time(params, 1))
+        funnels.append(prob_two_player_endgame(params))
+        fractions.append(endgame_time_fraction(params))
     problems = []
     if not lengths[0] < lengths[1] < lengths[2]:
         problems.append(f"game length not increasing: {lengths}")

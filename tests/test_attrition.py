@@ -128,33 +128,33 @@ def test_end_probability_vanishes_with_the_win_ratio():
 def test_two_player_passage_is_geometric():
     params = attrition_params(2, 10)
     # 1 / P(exactly one bid) = 0.99 / 0.18 = 5.5, frozen.
-    assert expected_passage_time(params, 2, 1) == pytest.approx(5.5, rel=1e-12)
+    assert expected_passage_time(params, 1) == pytest.approx(5.5, rel=1e-12)
 
 
 def test_passage_time_trivial_and_invalid_targets():
     params = attrition_params(4, 10)
-    assert expected_passage_time(params, 3, 3) == 0.0
-    assert expected_passage_time(params, 2, 5) == 0.0
+    assert expected_passage_time(params._replace(n=3), 3) == 0.0
+    assert expected_passage_time(params._replace(n=2), 5) == 0.0
     with pytest.raises(ParameterError):
-        expected_passage_time(params, 4, 0)
-    with pytest.raises(ParameterError):
-        expected_passage_time(params, 1, 1)
+        expected_passage_time(params, 0)
+    with pytest.raises(ParameterError):  # a start of one player is no AuctionParams
+        expected_passage_time(params._replace(n=1), 1)
 
 
 def test_passage_time_at_least_one_round():
     for n in (2, 3, 4, 5):
         for target in range(1, n):
-            assert expected_passage_time(attrition_params(n, 10), n, target) >= 1.0
+            assert expected_passage_time(attrition_params(n, 10), target) >= 1.0
 
 
 def test_reaching_two_never_later_than_the_end():
     for ratio in LADDER:
         params = ladder_params(ratio)
-        assert expected_passage_time(params, 4, 2) <= expected_passage_time(params, 4, 1)
+        assert expected_passage_time(params, 2) <= expected_passage_time(params, 1)
 
 
 def test_game_length_grows_with_value_fee_ratio():
-    lengths = [expected_passage_time(ladder_params(r), 4, 1) for r in LADDER]
+    lengths = [expected_passage_time(ladder_params(r), 1) for r in LADDER]
     assert lengths[0] < lengths[1] < lengths[2]
 
 
@@ -175,9 +175,9 @@ def test_chain_keeps_precision_when_rounds_repeat():
         to_two = 1 / (three[1] + three[2])
         to_one = (1 + three[2] / two[1]) * to_two
         funnel = three[2] * to_two
-    assert expected_passage_time(params, 3, 1) == pytest.approx(float(to_one), rel=1e-12)
-    assert expected_passage_time(params, 3, 2) == pytest.approx(float(to_two), rel=1e-12)
-    assert prob_two_player_endgame(params, 3) == pytest.approx(float(funnel), rel=1e-12)
+    assert expected_passage_time(params, 1) == pytest.approx(float(to_one), rel=1e-12)
+    assert expected_passage_time(params, 2) == pytest.approx(float(to_two), rel=1e-12)
+    assert prob_two_player_endgame(params) == pytest.approx(float(funnel), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -188,21 +188,21 @@ def test_endgame_prob_three_player_closed_form():
     params = attrition_params(3, 10)
     dist = bid_count_distribution(params, 3)
     expected = dist[1] / (dist[0] + dist[1])
-    assert prob_two_player_endgame(params, 3) == pytest.approx(expected, rel=1e-12)
+    assert prob_two_player_endgame(params) == pytest.approx(expected, rel=1e-12)
 
 
 def test_endgame_prob_requires_three_players():
     with pytest.raises(ParameterError):
-        prob_two_player_endgame(attrition_params(3, 10), 2)
+        prob_two_player_endgame(attrition_params(2, 10))
 
 
 def test_endgame_prob_interior_for_four_players():
-    assert 0.0 < prob_two_player_endgame(attrition_params(4, 10), 4) < 1.0
+    assert 0.0 < prob_two_player_endgame(attrition_params(4, 10)) < 1.0
 
 
 def test_endgame_prob_climbs_toward_one():
     for n in (3, 4):
-        probs = [prob_two_player_endgame(ladder_params(r, n=n), n) for r in LADDER]
+        probs = [prob_two_player_endgame(ladder_params(r, n=n)) for r in LADDER]
         assert probs[0] < probs[1] < probs[2]
         assert probs[2] > 0.9
 
@@ -212,14 +212,14 @@ def test_endgame_prob_climbs_toward_one():
 # ---------------------------------------------------------------------------
 
 def test_time_fraction_interior_and_shrinking():
-    fractions = [endgame_time_fraction(ladder_params(r), 4) for r in LADDER]
+    fractions = [endgame_time_fraction(ladder_params(r)) for r in LADDER]
     assert all(0.0 < f < 1.0 for f in fractions)
     assert fractions[0] > fractions[1] > fractions[2]
 
 
 def test_time_fraction_requires_three_players():
     with pytest.raises(ParameterError):
-        endgame_time_fraction(attrition_params(3, 10), 2)
+        endgame_time_fraction(attrition_params(2, 10))
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +230,12 @@ def test_time_fraction_requires_three_players():
 @pytest.mark.parametrize("n", [2, 3, 10, 150])
 def test_profile_matches_the_pointwise_ops(n, ratio):
     params = ladder_params(ratio, n)
-    profile = attrition_profile(params, n)
-    assert profile.rounds_to_one == pytest.approx(expected_passage_time(params, n, 1), rel=1e-12)
-    assert profile.rounds_to_two == pytest.approx(expected_passage_time(params, n, 2), rel=1e-12)
+    profile = attrition_profile(params)
+    assert profile.rounds_to_one == pytest.approx(expected_passage_time(params, 1), rel=1e-12)
+    assert profile.rounds_to_two == pytest.approx(expected_passage_time(params, 2), rel=1e-12)
     if n >= 3:
         assert profile.two_player_endgame_prob == pytest.approx(
-            prob_two_player_endgame(params, n), rel=1e-12
+            prob_two_player_endgame(params), rel=1e-12
         )
     else:
         assert profile.two_player_endgame_prob is None
@@ -244,15 +244,15 @@ def test_profile_matches_the_pointwise_ops(n, ratio):
 @pytest.mark.parametrize("n,ratio", ATTRITION_POINTS)
 def test_profile_is_the_source_of_the_two_player_views(n, ratio):
     params = attrition_params(n, ratio)
-    profile = attrition_profile(params, n)
+    profile = attrition_profile(params)
     if n < 3:
         assert profile.endgame_time_fraction is None
         return
-    assert profile.endgame_time_fraction == endgame_time_fraction(params, n)
+    assert profile.endgame_time_fraction == endgame_time_fraction(params)
     assert profile.endgame_time_fraction == profile.rounds_to_two / profile.rounds_to_one
     # The chain solves each reward column on its own, so the funnel of
     # the three-column profile is the funnel solved alone, bit for bit.
-    assert profile.two_player_endgame_prob == prob_two_player_endgame(params, n)
+    assert profile.two_player_endgame_prob == prob_two_player_endgame(params)
 
 
 def test_funnel_stays_finite_where_the_profile_overflows():
@@ -261,15 +261,15 @@ def test_funnel_stays_finite_where_the_profile_overflows():
     # solved alone, does not.
     params = AuctionParams(n=4, value=1e300, sale_price=0.0, bid_fee=1e-10)
     with pytest.raises(FloatingPointError, match="overflow"):
-        attrition_profile(params, 4)
-    assert prob_two_player_endgame(params, 4) == 1.0
+        attrition_profile(params)
+    assert prob_two_player_endgame(params) == 1.0
 
 
 @pytest.mark.parametrize("ratio", [1.01, 10.0, 1e3, 1e6])
 @pytest.mark.parametrize("n", [3, 50, 300])
 def test_profile_matches_a_40_digit_chain(n, ratio):
     params = ladder_params(ratio, n)
-    for got, exact in zip(attrition_profile(params, n), mp_attrition_chain(params)):
+    for got, exact in zip(attrition_profile(params), mp_attrition_chain(params)):
         assert abs(got - exact) <= 1e-12 * abs(exact), (got, exact)
 
 
@@ -302,13 +302,13 @@ def test_windowed_rows_solve_as_whole_rows(flags):
         expected = whole_row_profile(params)
     except (ArithmeticError, ValueError) as exc:  # lambda out of reach: both refuse
         with pytest.raises(type(exc)):
-            attrition_profile(params, params.n)
+            attrition_profile(params)
         return
     if expected is None:
         with pytest.raises(FloatingPointError, match="overflow"):
-            attrition_profile(params, params.n)
+            attrition_profile(params)
         return
-    got = attrition_profile(params, params.n)
+    got = attrition_profile(params)
     assert (got.two_player_endgame_prob is None) == (expected[2] is None)
     for value, reference in zip(got, expected):
         if reference is not None:
@@ -339,7 +339,7 @@ def profile_bits(solve, params):
 
 
 def cut_profile(params, n, _):
-    return attrition_profile(params, n)
+    return attrition_profile(params)
 
 
 # Row n of this start is cut well below n - 1, so the cut solve skips
@@ -375,7 +375,7 @@ def test_a_million_players_solve_within_a_second():
     flags = ["attrition", "--n", "1000000", "--value", "100", "--bid-fee", "1"]
     out = io.StringIO()
     start = time.perf_counter()
-    profile = attrition_profile(params, params.n)
+    profile = attrition_profile(params)
     with contextlib.redirect_stdout(out):
         code = main(flags)
     assert time.perf_counter() - start < 1.0
@@ -396,7 +396,7 @@ def test_a_million_players_solve_within_a_second():
 )
 def test_two_player_identity(n, value, share, rho):
     params = AuctionParams(n=n, value=value, sale_price=0.0, bid_fee=value * share, rho=rho)
-    profile = attrition_profile(params, n)
+    profile = attrition_profile(params)
     closed = two_player_identity(params, profile.rounds_to_two, profile.two_player_endgame_prob)
     assert abs(profile.rounds_to_one - closed) <= 1e-12 * profile.rounds_to_one
 
@@ -409,7 +409,7 @@ def test_two_player_identity_at_the_40_digit_points(n, ratio):
     with mp.workdps(40):
         lam = mpf(params.bid_fee) / (mpf(params.value) - mpf(params.sale_price))
         assert abs(one - (two + funnel * (1 + lam) / (2 * lam))) <= mpf(10) ** -30 * one
-    profile = attrition_profile(params, n)
+    profile = attrition_profile(params)
     closed = two_player_identity(params, profile.rounds_to_two, profile.two_player_endgame_prob)
     assert abs(profile.rounds_to_one - closed) <= 1e-12 * profile.rounds_to_one
 
@@ -423,7 +423,7 @@ def wald_gap(params):
     """
     try:
         log_lam = math.log(win_probability(params))
-        (bids,) = _solve(params, params.n, lambda k, row: (round_odds(log_lam, k).entrants,))
+        (bids,) = _solve(params, lambda k, row: (round_odds(log_lam, k).entrants,))
         total = closed_form_revenue(params).total
     except ArithmeticError:  # an expectation or u(x) past the float range
         return None
@@ -457,8 +457,8 @@ def test_chain_bids_are_the_closed_form_revenue_past_a_few_hundred_players(n, fe
 
 
 def test_profile_requires_two_players():
-    with pytest.raises(ParameterError):
-        attrition_profile(attrition_params(3, 10), 1)
+    with pytest.raises(ParameterError):  # a start of one player is no AuctionParams
+        attrition_profile(attrition_params(1, 10))
 
 
 # ---------------------------------------------------------------------------
@@ -470,12 +470,12 @@ def test_profile_requires_two_players():
 def test_dp_matches_simulation(mc, n, ratio):
     params = attrition_params(n, ratio)
     result = mc(params, GameMode.NO_REENTRY, MC_COUNT, attrition_seed(n, ratio))
-    dp_length = expected_passage_time(params, n, 1)
+    dp_length = expected_passage_time(params, 1)
     assert abs(result.mean_effective_length - dp_length) <= 3.0 * result.se_effective_length
     if n > 2:
-        dp_two = expected_passage_time(params, n, 2)
+        dp_two = expected_passage_time(params, 2)
         assert abs(result.mean_rounds_to_two - dp_two) <= 3.0 * result.se_rounds_to_two
-        dp_funnel = prob_two_player_endgame(params, n)
+        dp_funnel = prob_two_player_endgame(params)
         assert (
             abs(result.two_player_passage_fraction - dp_funnel)
             <= 3.0 * result.se_two_player_passage_fraction

@@ -480,19 +480,30 @@ def test_seed_is_refused_before_the_raw_round_budget(capsys, seed, message):
 
 
 # u(3529) is about 1e154 at rho = -0.1, so its squares overflow; at n = 100
-# and rho = -0.001 a game's sum of 100 utilities near 1e307 does.  Such a
-# row once reported an infinite figure with exit 0, after numpy's warning.
+# and rho = -0.001 a game's sum of 100 utilities near 1e307 does.  At a fee
+# of 1e307 the game of seed 3 makes more than 17 bids, so its revenue
+# overflows in either mode.  Such a row once reported an infinite figure
+# with exit 0, after numpy's warning.
+OVERFLOWS = [  # mode, n, rho, wealth, op, then value, bid fee, replications, seed
+    ("reentry", 3, -0.1, 3529, "square", 10, 1, 8, 0),
+    ("reentry", 100, -0.001, 699990, "reduce", 10, 1, 8, 0),
+    ("no-reentry", 100, -0.001, 699990, "multiply", 10, 1, 8, 0),
+    ("reentry", 30, 0.0, 0, "multiply", 1.7e308, 1e307, 1, 3),
+    ("no-reentry", 30, 0.0, 0, "multiply", 1.7e308, 1e307, 1, 3),
+]
+
+
 @pytest.mark.parametrize(
-    "mode, n, rho, wealth, op",
-    [
-        ("reentry", 3, -0.1, 3529, "square"),
-        ("reentry", 100, -0.001, 699990, "reduce"),
-        ("no-reentry", 100, -0.001, 699990, "multiply"),
-    ],
+    "mode, n, rho, wealth, op, value, fee, replications, seed",
+    OVERFLOWS,
+    ids=["-".join(map(str, case[:5])) for case in OVERFLOWS],
 )
-def test_utility_estimate_past_the_float_range_exits_3(capsys, mode, n, rho, wealth, op):
-    argv = ["simulate", "--n", str(n), "--value", "10", "--bid-fee", "1", f"--rho={rho}",
-            "--mode", mode, "--replications", "8", "--initial-wealth", str(wealth)]
+def test_utility_estimate_past_the_float_range_exits_3(
+    capsys, mode, n, rho, wealth, op, value, fee, replications, seed
+):
+    argv = ["simulate", "--n", str(n), "--value", str(value), "--bid-fee", str(fee),
+            f"--rho={rho}", "--mode", mode, "--replications", str(replications),
+            "--seed", str(seed), "--initial-wealth", str(wealth)]
     code, out, err = run_cli(capsys, argv)
     assert code == 3
     assert out == ""
@@ -1176,18 +1187,30 @@ def run_configs(draw, command, edge):
     return flags, doc, draw(st.sampled_from(["json", "lines"]))
 
 
+def setting_text(flags, doc, key):
+    """The text of setting key as a run reads it: its flag, else its config entry."""
+    prefix = f"--{key.replace('_', '-')}="
+    texts = [flag[len(prefix):] for flag in flags if flag.startswith(prefix)]
+    return texts[0] if texts else str(doc.get(key, 0.0))
+
+
 def reads_non_finite(flags, doc, key):
     """Whether a run reads the float setting key as NaN or +-inf.
 
     A flag or a key = value line reads an integer past the float range
     as infinite (a JSON file refuses it), and a bool is refused anyway.
     """
-    prefix = f"--{key.replace('_', '-')}="
-    texts = [flag[len(prefix):] for flag in flags if flag.startswith(prefix)]
-    text = texts[0] if texts else str(doc.get(key, 0.0))
     try:
-        return not math.isfinite(float(text))
+        return not math.isfinite(float(setting_text(flags, doc, key)))
     except ValueError:  # "True" or "False"
+        return False
+
+
+def reads_negative(flags, doc, key):
+    """Whether a run reads the integer setting key as a negative count."""
+    try:
+        return int(setting_text(flags, doc, key)) < 0
+    except ValueError:  # a bool, a fraction or a non-finite float, refused anyway
         return False
 
 
@@ -1218,6 +1241,8 @@ def test_run_settings_exit_cleanly(tmp_path, command, edge):
             assert code == 2, "a setting the command does not read is refused"
         if command == "revenue" and reads_non_finite(flags, doc, "tol"):
             assert code == 2, "a tolerance that is not finite cannot bound the series"
+        if reads_negative(flags, doc, "replications"):
+            assert code == 2, "a negative replication count is refused"
         if any(isinstance(v, bool) for v in doc.values()):
             assert code == 2, "a config file's true or false is not a setting"
         if encoding == "json" and any(

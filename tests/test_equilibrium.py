@@ -12,8 +12,12 @@ from paytobid import (
     EquilibriumPolicy,
     ParameterError,
     RiskCoefficientError,
+    attrition_profile,
     bid_probability,
     closed_form_revenue,
+    endgame_time_fraction,
+    expected_passage_time,
+    prob_two_player_endgame,
     win_probability,
 )
 from paytobid.equilibrium import round_odds
@@ -207,6 +211,14 @@ def test_policy_table_is_round_odds_bit_for_bit(rho):
 def test_policy_takes_no_wealth_input():
     assert set(inspect.signature(bid_probability).parameters) == {"params", "k"}
     assert set(inspect.signature(EquilibriumPolicy.from_params).parameters) == {"params"}
+
+
+def test_attrition_figures_take_the_start_from_params():
+    # Without re-entry the chain is Markov in the count, so each figure
+    # is a function of the grid point, and the start is params.n.
+    for figure in (attrition_profile, prob_two_player_endgame, endgame_time_fraction):
+        assert set(inspect.signature(figure).parameters) == {"params"}
+    assert set(inspect.signature(expected_passage_time).parameters) == {"params", "target"}
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,11 @@ from paytobid import (
     GameMode,
     ParameterError,
     SimulationResult,
+    bid_count_distribution,
     closed_form_revenue,
     run_replications,
 )
+from paytobid.equilibrium import odds_at
 from paytobid.simulator import (
     _FIGURES,
     BLOCK_SIZE,
@@ -440,6 +442,84 @@ def test_batched_engine_matches_scalar_distributions(mode):
     for label, (reference, batched) in samples.items():
         p_value = stats.ks_2samp(reference, batched).pvalue
         assert p_value > DIFFERENTIAL_LEVEL, f"{mode.value} {label}: p = {p_value:.1e}"
+
+
+# ---------------------------------------------------------------------------
+# The batched engine's effective length against its exact law.
+# ---------------------------------------------------------------------------
+
+def exact_length_law(params, mode, tail=1e-12):
+    """P(L = t) at entry t - 1, for t = 1, 2, ... until less than tail of the mass is left.
+
+    The count chain moves the active players: without re-entry along the
+    whole rows of bid_count_distribution, and with re-entry the count
+    stays n, so a round ends the game with the hazard h(n) and L is
+    Geometric(h(n)).  P(L = t) is the mass that first reaches one player
+    in round t, pushed from the start state.
+    """
+    n = params.n
+    chain = np.zeros((n + 1, n + 1))
+    if mode is GameMode.WITH_REENTRY:
+        hazard = odds_at(params, n).hazard
+        chain[n, [1, n]] = hazard, 1.0 - hazard
+    else:
+        for k in range(2, n + 1):
+            chain[k, 1 : k + 1] = bid_count_distribution(params, k)
+    state = np.zeros(n + 1)
+    state[n] = 1.0
+    law = []
+    while state.sum() >= tail:
+        state = state @ chain
+        law.append(state[1])
+        state[1] = 0.0
+    return np.array(law)
+
+
+def length_chi2_p_value(lengths, law):
+    """p-value of a chi-square test of lengths against law, P(L = t) at entry t - 1.
+
+    Consecutive lengths are merged into bins that each expect at least
+    five games, and the last bin takes every length past the others.
+    """
+    games = lengths.size
+    below = np.cumsum(law)  # P(L <= t)
+    edges, since = [], 0.0
+    for t, p in enumerate(law, start=1):
+        since += p
+        if games * min(since, 1.0 - below[t - 1]) >= 5.0:
+            edges.append(t)
+            since = 0.0
+    observed = np.bincount(np.searchsorted(edges, lengths), minlength=len(edges) + 1)
+    expected = games * np.diff([0.0, *below[np.array(edges) - 1], 1.0])
+    return stats.chisquare(observed, expected).pvalue
+
+
+# Each case has its own Philox key, fixed before the test was first run.
+LENGTH_LAW_SEEDS = {
+    (GameMode.WITH_REENTRY, 2): 4601,
+    (GameMode.WITH_REENTRY, 3): 4602,
+    (GameMode.NO_REENTRY, 3): 4603,
+    (GameMode.NO_REENTRY, 5): 4604,
+    (GameMode.NO_REENTRY, 20): 4605,
+}
+
+
+@pytest.mark.parametrize("mode, n", list(LENGTH_LAW_SEEDS))
+def test_effective_length_follows_its_exact_law(mode, n):
+    params = make_params((10.0, 0.0, 1.0), rho=-0.1, n=n)
+    law = exact_length_law(params, mode)
+    assert abs(math.fsum(law) - 1.0) <= 1e-11
+    block = _play_block(
+        params,
+        mode,
+        _bid_prob_table(params),
+        np.random.Generator(np.random.Philox(key=LENGTH_LAW_SEEDS[mode, n])),
+        DIFFERENTIAL_GAMES,
+        DEFAULT_ROUND_CAP,
+    )
+    assert not block.truncated.any()
+    p_value = length_chi2_p_value(block.effective_length, law)
+    assert p_value > DIFFERENTIAL_LEVEL, f"{mode.value} n={n}: p = {p_value:.1e}"
 
 
 @pytest.mark.parametrize("round_cap", [3, DEFAULT_ROUND_CAP])

@@ -545,8 +545,8 @@ def main(argv=None) -> int:
         return 2
     except ArithmeticError as exc:
         # SeriesLengthError, UtilityRangeError, RawRoundBudgetError, and
-        # the FloatingPointError of the attrition chain or of a Monte
-        # Carlo revenue or utility estimate.
+        # the FloatingPointError of the closed-form revenue, the attrition
+        # chain or a Monte Carlo revenue or utility estimate.
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     try:

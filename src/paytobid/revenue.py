@@ -93,16 +93,24 @@ def closed_form_revenue(params: AuctionParams) -> RevenueBreakdown:
     fee flow and the hazard both vary with n but their ratio collapses
     to c / (1-p)**(n-1) = c * u(v-s) / u(c).  At rho = 0 the total
     reduces to the object value itself.
+
+    Raises FloatingPointError when the total passes the float range,
+    which s + c * u(v - s) / u(c) can near the largest float.
     """
     u = params.utility
     fee = params.bid_fee * (
         u.evaluate(params.value - params.sale_price) / u.evaluate(params.bid_fee)
     )
     odds = odds_at(params, params.n)
+    total = params.sale_price + fee
+    if not math.isfinite(total):
+        raise FloatingPointError(
+            "overflow: the revenue s + c * u(v - s) / u(c) passes the float range"
+        )
     return RevenueBreakdown(
         sale_price_component=params.sale_price,
         fee_component=fee,
-        total=params.sale_price + fee,
+        total=total,
         hazard=odds.hazard,
         expected_entrants=odds.entrants,
         expected_length=1.0 / odds.hazard,

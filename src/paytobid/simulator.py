@@ -18,14 +18,20 @@ for the running games in slot order.  The step does only what the next
 request needs; a game's outcome is written out once, when it ends or
 after the loop.
 
-With re-entry a step draws one row of n uniforms per game, one per
-player in roster order, and the running games are the columns of one
-state matrix: their bids per player, effective rounds and slots.  A
-block holds at most BLOCK_SIZE * 64 (player, game) entries, or one game
-where n is larger, which bounds memory.  Without re-entry the
+With re-entry a step asks the stream's bit generator for one row of n
+raw 64-bit Philox words per game, one per player in roster order, and
+compares each word with an integer cut that stands for p(n) exactly, so
+every bid is the one a uniform drawn from that word would give.  The
+running games are the columns of one state matrix: their bids per
+player, effective rounds and slots.  A block holds at most
+BLOCK_SIZE * 64 (player, game) entries, or one game where n is larger,
+which bounds memory.  Without re-entry the
 equilibrium is Markov in the active count k (Kemeny & Snell, *Finite
 Markov Chains*, 1960), so a game keeps only k and its effective rounds,
-and a step draws one binomial(k, p(k)) bidder count.  Players are then
+and a step draws one binomial(k, p(k)) bidder count.  Counts never
+rise, so once every running game is down to two players a step draws
+all its counts in one scalar binomial(2, p(2)) call, which numpy answers
+with the same numbers as a per-game array of (2, p(2)).  Players are then
 known only as holdings, groups who left in the same round with the same
 bids.  A step logs only the rounds in which players left or the cap was
 hit, and one pass over that round log builds the block's outcome, so a
@@ -56,10 +62,18 @@ from .equilibrium import (
 
 # Most raw rounds a run may be expected to play, over all its games.
 RAW_ROUND_BUDGET = 10**11
+# Most raw rounds one game with re-entry may be expected to play.  The
+# games of a block play in lockstep, each step costing some microseconds
+# however few games still run, so one long game holds up its block.
+GAME_STEP_BUDGET = 10**6
 
 
 class RawRoundBudgetError(ArithmeticError):
-    """A run would be expected to play more than RAW_ROUND_BUDGET raw rounds."""
+    """A run would be expected to play more raw rounds than a budget allows.
+
+    The budgets are RAW_ROUND_BUDGET over all games, and GAME_STEP_BUDGET
+    for one game with re-entry.
+    """
 
 
 class AllTruncatedError(ParameterError, ArithmeticError):
@@ -174,10 +188,13 @@ def _play_block(
     bid is replayed, a round with one bid ends its game, and a game
     stops flagged as truncated after ``round_cap`` effective rounds.
     A step asks ``rng`` once, for the running games in slot order.
-    With re-entry that is one row of n uniforms per game, each compared
-    against p(n).  Without re-entry the equilibrium is Markov in the
+    With re-entry that is one row of n raw words per game from
+    ``rng.bit_generator.random_raw``, each compared against the cut that
+    stands for p(n).  Without re-entry the equilibrium is Markov in the
     active count, so a game keeps only its count k and draws one
-    binomial(k, p(k)) bidder count.  Either engine keeps the running
+    binomial(k, p(k)) bidder count; once every running game is down to
+    two players, the step's counts come from one scalar
+    binomial(2, p(2), size=running) call.  Either engine keeps the running
     games' state compact in slot order and tests the cap only from step
     ``round_cap`` on, since a game plays at most one effective round per
     step.
@@ -201,21 +218,39 @@ def _net_money(params: AuctionParams, bid_counts: np.ndarray, won: np.ndarray) -
     return net
 
 
+def _last_bid_word(p: float) -> np.uint64:
+    """The largest raw 64-bit word x for which the uniform drawn from x is below p.
+
+    ``Generator.random`` turns a raw Philox word x into the uniform
+    u = (x >> 11) * 2**-53, so u < p exactly when x >> 11 < ceil(p * 2**53),
+    that is when x <= ceil(p * 2**53) * 2**11 - 1.  At p = 1.0 the bound is
+    2**64 - 1, the largest word, so every word bids; a bound of
+    ceil(p * 2**53) * 2**11 itself would not fit a uint64 there.
+    """
+    return np.uint64(math.ceil(p * 2.0**53) * 2**11 - 1)
+
+
 def _play_roster_block(params, bid_prob, rng, size, round_cap) -> BlockRecord:
     """_play_block with re-entry: every player draws in every raw round.
+
+    A step asks the stream's bit generator for one raw word per running
+    game and player, and a player bids where the word is at most
+    _last_bid_word(p(n)): the bids of uniforms drawn from those words,
+    without forming any.
 
     The running games are the columns of one state matrix: a row of bids
     so far per player, then the effective rounds and the game's slot.
     No entry passes round_cap or size, so the matrix is int32 unless the
     cap needs int64.  A step adds the round's bids to the player rows, so
     a replay, a round without a bid, adds nothing.  A game's column is
-    written out when it ends, and a game that ends without a sole bidder
-    hit the round cap, which no game can reach before step round_cap.
+    written out when it ends.  Before step round_cap a game ends only
+    with a sole bidder, and from then on a game that ends without one
+    hit the round cap.
     """
     n = params.n
     state = np.zeros((n + 2, size), dtype=np.int32 if round_cap < 2**31 else np.int64)
     state[n + 1] = np.arange(size)
-    uniforms = np.empty((size, n))
+    last_bid = _last_bid_word(bid_prob[n])
     count_type = np.min_scalar_type(n)  # holds a round's bidder count
     ended = np.empty((size, n + 1), dtype=np.int64)  # bids per player, then effective rounds
     raw = np.empty(size, dtype=np.int64)
@@ -223,20 +258,24 @@ def _play_roster_block(params, bid_prob, rng, size, round_cap) -> BlockRecord:
     step = 0
     while state.shape[1]:
         step += 1
-        bids = (rng.random(out=uniforms[: state.shape[1]]) < bid_prob[n]).T.copy()
+        words = rng.bit_generator.random_raw(state.shape[1] * n)
+        bids = (words.reshape(-1, n) <= last_bid).T.copy()
         n_bid = bids.sum(axis=0, dtype=count_type)
         state[:n] += bids
         state[n] += n_bid > 0
         done = n_bid == 1
-        if step >= round_cap:
+        capped = step >= round_cap
+        if capped:
             done |= state[n] >= round_cap
         d = np.flatnonzero(done)
         if d.size:
             g = state[n + 1, d]
             ended[g] = state[: n + 1, d].T
             raw[g] = step  # every step was a raw round of each game
-            sole = n_bid[d] == 1
-            winner[g[sole]] = bids[:, d[sole]].argmax(axis=0)
+            if capped:
+                sole = n_bid[d] == 1
+                g, d = g[sole], d[sole]
+            winner[g] = bids[:, d].argmax(axis=0)
             state = np.take(state, np.flatnonzero(~done), axis=1)
 
     bid_counts = ended[:, :n]
@@ -274,7 +313,9 @@ def _play_count_block(params, bid_prob, rng, size, round_cap) -> BlockRecord:
     players stopped or the game hit the cap.  One pass over the log after
     the loop builds the holdings and the per-game arrays.  A game logs at
     most n rounds, and none while its count stays put, so a long
-    two-player endgame adds nothing to the block's memory.
+    two-player endgame adds nothing to the block's memory.  Once the
+    largest running count is 2 every running game draws at (2, p(2)),
+    so a step asks for all of them in one scalar call.
     """
     n = params.n
     slots = np.arange(size)  # the running games
@@ -282,10 +323,14 @@ def _play_count_block(params, bid_prob, rng, size, round_cap) -> BlockRecord:
     rounds = np.zeros(size, dtype=np.int64)  # effective rounds so far, follows slots
     raw = np.empty(size, dtype=np.int64)
     log = []  # (game, k, m, rounds) of the rounds in which players stopped or the cap hit
+    tail = n == 2  # every running game is down to two players
     step = 0
     while slots.size:
         step += 1
-        bidders = rng.binomial(active, bid_prob[active])
+        if tail:
+            bidders = rng.binomial(2, bid_prob[2], size=slots.size)
+        else:
+            bidders = rng.binomial(active, bid_prob[active])
         played = bidders > 0
         rounds += played
         event = played & (bidders < active)
@@ -302,6 +347,7 @@ def _play_count_block(params, bid_prob, rng, size, round_cap) -> BlockRecord:
                 keep = np.ones(slots.size, dtype=bool)
                 keep[e[done]] = False
                 slots, active, rounds = slots[keep], active[keep], rounds[keep]
+            tail = active.max(initial=2) == 2  # counts never rise
 
     g, k, m, rounds = (np.concatenate(part) for part in zip(*log))
     done = (m == 1) | (rounds >= round_cap)
@@ -443,7 +489,13 @@ def run_replications(
     Raises RawRoundBudgetError, before playing, when the games would be
     expected to play more than RAW_ROUND_BUDGET raw rounds in all: each
     needs 1/busy(n) of them on average, busy(n) = 1 - (1 - p(n))**n
-    being the chance that a round of n players is not replayed.
+    being the chance that a round of n players is not replayed.  With
+    re-entry it also raises it when one game alone would be expected to
+    play more than GAME_STEP_BUDGET raw rounds, since a block plays one
+    lockstep step per raw round of its longest game.  Such a game plays
+    Geometric(h) effective rounds cut at round_cap, h being the hazard
+    of n players, so it expects -expm1(round_cap * log1p(-h)) / h of
+    them, and 1/busy(n) raw rounds for each.
     """
     require_count(count, 1, "replication count must be an integer >= 1, got {!r}")
     require_count(round_cap, 1, "round cap must be an integer >= 1, got {!r}")
@@ -455,13 +507,23 @@ def run_replications(
     bid_prob = _bid_prob_table(params)
     # Every game, in either mode, waits 1/busy(n) raw rounds on average
     # for its first effective round.
-    busy = odds_at(params, params.n).busy
+    odds = odds_at(params, params.n)
+    busy = odds.busy
     if count > RAW_ROUND_BUDGET * busy:
         raise RawRoundBudgetError(
             f"{count} replications would play about {count / busy:.3g} raw rounds, since "
             f"all {params.n} players pass with chance 1 - {busy:.3g}; the budget is "
             f"{RAW_ROUND_BUDGET:.0e} raw rounds"
         )
+    if mode is GameMode.WITH_REENTRY:
+        h = odds.hazard
+        effective = -math.expm1(round_cap * math.log1p(-h)) / h if h < 1.0 else 1.0
+        if effective / busy > GAME_STEP_BUDGET:
+            raise RawRoundBudgetError(
+                f"one game would play about {effective / busy:.3g} raw rounds, since it ends "
+                f"with chance {h:.3g} per effective round; the budget is "
+                f"{GAME_STEP_BUDGET:.0e} raw rounds per game"
+            )
 
     block = _block_size(mode, params.n)
     summary = np.vstack([

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from datetime import timedelta
 
 import pytest
@@ -173,6 +174,15 @@ UNDERFLOW = "win ratio u(bid_fee) / u(value - sale_price) underflows to 0"
                 "--replications", "10",
             ],
             "rounds to 1",
+        ),
+        # s + c * u(v - s) / u(c) = 1e308 + 1e307 * 1.79 passes the float
+        # range; the row once read "total": Infinity with status OK.
+        (
+            [
+                "revenue", "--n", "3", "--value", "1.79e308", "--sale-price", "1e308",
+                "--bid-fee", "1e307", "--rho=-1e-308",
+            ],
+            "passes the float range",
         ),
     ],
 )
@@ -450,6 +460,26 @@ def test_simulate_beyond_the_raw_round_budget_exits_3(mode):
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert "the budget is 1e+11 raw rounds" in proc.stderr
+
+
+def test_simulate_beyond_the_step_budget_of_one_game_exits_3():
+    # The hazard is about 2e-21 but nobody passes, so the raw-round budget
+    # of the run lets it through; its one game would play the whole cap of
+    # 10**7 lockstep steps, which once took minutes.
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "paytobid.cli", "simulate", "--n", "3", "--value", "100",
+            "--sale-price", "5", "--bid-fee", "0.5", "--rho=-0.5", "--replications", "1",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert time.perf_counter() - start < 2.0
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "the budget is 1e+06 raw rounds per game" in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["simulate", "revenue", "attrition"])

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from paytobid import (
@@ -20,19 +22,27 @@ from paytobid import (
     closed_form_revenue,
     run_replications,
 )
-from paytobid.equilibrium import odds_at
+from paytobid.equilibrium import bid_probability, odds_at
 from paytobid.simulator import (
     _FIGURES,
     BLOCK_SIZE,
     BlockRecord,
     _bid_prob_table,
+    _last_bid_word,
     _net_money,
     _philox_stream,
     _play_block,
 )
 
-from helpers import MC_COUNT, attrition_params, attrition_seed, make_params, revenue_seed
-from reference import PolicyCoverageError, play_one_game
+from helpers import (
+    MC_COUNT,
+    NO_SHRINK,
+    attrition_params,
+    attrition_seed,
+    make_params,
+    revenue_seed,
+)
+from reference import PolicyCoverageError, play_block, play_one_game
 
 
 class ForcedStream:
@@ -60,15 +70,20 @@ class ScriptedBinomials:
     """Plays back scripted bidder counts, one array per raw round.
 
     Each entry is (active counts the engine must ask about, bidder
-    counts to return), both over the running games in slot order.
+    counts to return), both over the running games in slot order.  The
+    engine may ask with arrays of (k, p), one entry per running game, or
+    with one (k, p) and size=running, which stands for that (k, p) in
+    every entry.
     """
 
     def __init__(self, table, rounds):
         self.table = table
         self.rounds = list(rounds)
 
-    def binomial(self, k, p):
+    def binomial(self, k, p, size=None):
         expected, bidders = self.rounds.pop(0)
+        if size is not None:
+            k, p = np.full(size, k), np.full(size, p)
         assert k.tolist() == expected
         assert p.tolist() == self.table[expected].tolist()
         return np.asarray(bidders, dtype=np.int64)
@@ -552,20 +567,29 @@ def test_single_game_block_replays_the_scalar_game(round_cap):
 # One block, one stream, one request per lockstep step.
 # ---------------------------------------------------------------------------
 
+class RecordingBitGenerator:
+    """A Philox bit generator that logs how many raw words each request asks for."""
+
+    def __init__(self, bit_generator, log):
+        self.bit_generator = bit_generator
+        self.log = log
+
+    def random_raw(self, size):
+        self.log.append(size)
+        return self.bit_generator.random_raw(size)
+
+
 class RecordingStream:
     """A Philox stream that logs what the engine asks of every draw."""
 
     def __init__(self, key, log):
         self.log = log
         self.generator = np.random.Generator(np.random.Philox(key=key))
+        self.bit_generator = RecordingBitGenerator(self.generator.bit_generator, log)
 
-    def random(self, *, out):
-        self.log.append(out.shape)
-        return self.generator.random(out=out)
-
-    def binomial(self, k, p):
-        self.log.append(tuple(k.tolist()))
-        return self.generator.binomial(k, p)
+    def binomial(self, k, p, size=None):
+        self.log.append(tuple(np.broadcast_to(k, size or np.shape(k)).tolist()))
+        return self.generator.binomial(k, p, size)
 
 
 @pytest.mark.parametrize("mode", list(GameMode))
@@ -580,8 +604,8 @@ def test_block_asks_its_stream_once_per_step(mode, round_cap):
     # length is at least t, in slot order.
     raw = block.raw_length
     running = [int((raw >= t).sum()) for t in range(1, raw.max() + 1)]
-    if mode is GameMode.WITH_REENTRY:  # a (running x n) array of uniforms
-        assert log == [(games, params.n) for games in running]
+    if mode is GameMode.WITH_REENTRY:  # n raw words per running game
+        assert log == [games * params.n for games in running]
     else:  # one bidder count per running game, asked at its active count
         assert [len(counts) for counts in log] == running
         assert all(2 <= k <= params.n for counts in log for k in counts)
@@ -718,6 +742,84 @@ def test_state_width_does_not_change_the_games(mode):
     )
     for field in BlockRecord._fields:
         assert np.array_equal(getattr(narrow, field), getattr(wide, field)), field
+
+
+# ---------------------------------------------------------------------------
+# The engines draw what their reference draws.
+# ---------------------------------------------------------------------------
+
+# At lambda = 1e-17 < 2**-54, p(2) = 1 - lambda rounds to 1.0: every
+# player bids in every round, so every game hits the round cap.
+CERTAIN_BID = AuctionParams(n=2, value=1e17, sale_price=0.0, bid_fee=1.0, rho=0.0)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [5e-324, 2.0**-1060, 0.5, 1.0 - 2.0**-53, bid_probability(CERTAIN_BID, 2)],
+    ids=["smallest-subnormal", "subnormal", "half", "below-one", "p2-rounds-to-one"],
+)
+def test_raw_word_cut_is_the_uniform_test_at_the_edges(p):
+    assert bid_probability(CERTAIN_BID, 2) == 1.0
+    key = 2301
+    words = np.random.Philox(key=key).random_raw(10_000)
+    uniforms = np.random.Generator(np.random.Philox(key=key)).random(10_000)
+    assert np.array_equal(words <= _last_bid_word(p), uniforms < p)
+    # Random words seldom fall next to the cut, so test the words that
+    # do, with the map from word to uniform that random() applies above.
+    assert np.array_equal((words >> np.uint64(11)) * 2.0**-53, uniforms)
+    cut = _last_bid_word(p)
+    near = np.array(
+        [w for w in range(int(cut) - 2**11 - 1, int(cut) + 2**11 + 2) if 0 <= w < 2**64],
+        dtype=np.uint64,
+    )
+    assert np.array_equal(near <= cut, (near >> np.uint64(11)) * 2.0**-53 < p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    key=st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_raw_word_cut_is_the_uniform_test(p, key):
+    words = np.random.Philox(key=key).random_raw(1_000)
+    uniforms = np.random.Generator(np.random.Philox(key=key)).random(1_000)
+    assert np.array_equal(words <= _last_bid_word(p), uniforms < p)
+
+
+@settings(max_examples=150, deadline=None, phases=NO_SHRINK)
+@given(
+    mode=st.sampled_from(list(GameMode)),
+    n=st.one_of(st.integers(2, 6), st.integers(7, 1000)),
+    ratio=st.floats(1.05, 100.0),
+    rho=st.floats(-0.05, 0.0),
+    size=st.one_of(st.just(1), st.integers(2, 48)),
+    round_cap=st.one_of(st.sampled_from([1, 2, 3, 4]), st.integers(5, 300)),
+    key=st.integers(min_value=0, max_value=2**64 - 1),
+)
+@example(mode=GameMode.WITH_REENTRY, n=3, ratio=10.0, rho=-0.1, size=1, round_cap=2, key=1)
+@example(mode=GameMode.NO_REENTRY, n=5, ratio=10.0, rho=-0.1, size=40, round_cap=4, key=2)
+@example(mode=GameMode.NO_REENTRY, n=2, ratio=10.0, rho=0.0, size=40, round_cap=DEFAULT_ROUND_CAP,
+         key=3)
+@example(mode=GameMode.WITH_REENTRY, n=2, ratio=1e17, rho=0.0, size=5, round_cap=4, key=4)
+@example(mode=GameMode.NO_REENTRY, n=2, ratio=1e17, rho=0.0, size=5, round_cap=4, key=5)
+@example(mode=GameMode.NO_REENTRY, n=1000, ratio=100.0, rho=0.0, size=48, round_cap=2**31,
+         key=6)
+def test_block_is_the_reference_block(mode, n, ratio, rho, size, round_cap, key):
+    # The package compares raw words with an integer cut where the
+    # reference compares uniforms with p(n), and draws the two-player
+    # tail as one scalar binomial where the reference draws one per
+    # game; on the same stream both must play the same games.
+    params = AuctionParams(n=n, value=ratio, sale_price=0.0, bid_fee=1.0, rho=rho)
+    table = _bid_prob_table(params)
+    streams = (np.random.Generator(np.random.Philox(key=key)) for _ in range(2))
+    block, reference = (
+        play(params, mode, table, stream, size, round_cap)
+        for play, stream in zip((_play_block, play_block), streams)
+    )
+    for field in BlockRecord._fields:
+        mine, theirs = getattr(block, field), getattr(reference, field)
+        assert mine.dtype == theirs.dtype, field
+        assert np.array_equal(mine, theirs), field
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,17 @@ sale price.  With re-entry the active set is always the full roster;
 without it, the active set of the next round is the set of bidders.
 
 ``run_replications`` plays these rules with numpy; the tests keep a
-scalar one-game engine as their reference.  Replications are cut into
+scalar one-game engine as their reference.  Before playing, it bounds
+one game's expected raw rounds from below, in either mode, and refuses
+a run past its raw-round budgets.  Replications are cut into
 consecutive blocks whose size depends only on the mode and n, and block
-b owns the counter-based random stream derived from (master_seed, b).
-A block is played in one lockstep loop: each step is one raw round of
-every running game of the block, and it asks the block's stream once,
-for the running games in slot order.  The step does only what the next
-request needs; a game's outcome is written out once, when it ends or
-after the loop.
+b draws only from the counter-based stream derived from (master_seed,
+b).  One loop plays, reduces and summarises the blocks in replication
+order, so results are bit-reproducible.  A block is played in lockstep:
+each step is one raw round of every running game of the block, and it
+asks the block's stream once, for the running games in slot order.  The
+step does only what the next request needs; a game's outcome is written
+out once, when it ends or after the loop.
 
 With re-entry a step asks the stream's bit generator for one row of n
 raw 64-bit Philox words per game, one per player in roster order, and
@@ -25,21 +28,18 @@ every bid is the one a uniform drawn from that word would give.  The
 running games are the columns of one state matrix: their bids per
 player, effective rounds and slots.  A block holds at most
 BLOCK_SIZE * 64 (player, game) entries, or one game where n is larger,
-which bounds memory.  Without re-entry the
-equilibrium is Markov in the active count k (Kemeny & Snell, *Finite
-Markov Chains*, 1960), so a game keeps only k and its effective rounds,
-and a step draws one binomial(k, p(k)) bidder count.  Counts never
-rise, so once every running game is down to two players a step draws
-all its counts in one scalar binomial(2, p(2)) call, which numpy answers
-with the same numbers as a per-game array of (2, p(2)).  Players are then
-known only as holdings, groups who left in the same round with the same
-bids.  A step logs only the rounds in which players left or the cap was
-hit, and one pass over that round log builds the block's outcome, so a
-block of BLOCK_SIZE games holds O(n * games) values at most, and
-O(games) for any n once play is down to two players.
-Block b draws only from stream b, so a game's draws are fixed by
-(master_seed, b); the blocks are played and reduced in replication
-order, so results are bit-reproducible.  _tracks_two_players says which
+which bounds memory.  Without re-entry the equilibrium is Markov in the
+active count k (Kemeny & Snell, *Finite Markov Chains*, 1960), so a game
+keeps only k and its effective rounds, and a step draws one
+binomial(k, p(k)) bidder count.  Counts never rise, so once every
+running game is down to two players a step draws all its counts in one
+scalar binomial(2, p(2)) call, which numpy answers with the same numbers
+as a per-game array of (2, p(2)).  Players are then known only as
+holdings, groups who left in the same round with the same bids.  A step
+logs only the rounds in which players left or the cap was hit, and one
+pass over that round log builds the block's outcome, so a block of
+BLOCK_SIZE games holds O(n * games) values at most, and O(games) for any
+n once play is down to two players.  _tracks_two_players says which
 games report two-player figures.
 """
 
@@ -56,13 +56,15 @@ from .equilibrium import (
     EquilibriumPolicy,
     GameMode,
     ParameterError,
+    RoundOdds,
     odds_at,
     require_count,
+    round_odds,
 )
 
 # Most raw rounds a run may be expected to play, over all its games.
 RAW_ROUND_BUDGET = 10**11
-# Most raw rounds one game with re-entry may be expected to play.  The
+# Most raw rounds one game may be expected to play, in either mode.  The
 # games of a block play in lockstep, each step costing some microseconds
 # however few games still run, so one long game holds up its block.
 GAME_STEP_BUDGET = 10**6
@@ -72,7 +74,7 @@ class RawRoundBudgetError(ArithmeticError):
     """A run would be expected to play more raw rounds than a budget allows.
 
     The budgets are RAW_ROUND_BUDGET over all games, and GAME_STEP_BUDGET
-    for one game with re-entry.
+    for one game, in either mode.
     """
 
 
@@ -184,17 +186,8 @@ def _play_block(
 ) -> BlockRecord:
     """Play a block of ``size`` games in lockstep under the module's game rules.
 
-    Each step is one raw round of every running game.  A round with no
-    bid is replayed, a round with one bid ends its game, and a game
-    stops flagged as truncated after ``round_cap`` effective rounds.
-    A step asks ``rng`` once, for the running games in slot order.
-    With re-entry that is one row of n raw words per game from
-    ``rng.bit_generator.random_raw``, each compared against the cut that
-    stands for p(n).  Without re-entry the equilibrium is Markov in the
-    active count, so a game keeps only its count k and draws one
-    binomial(k, p(k)) bidder count; once every running game is down to
-    two players, the step's counts come from one scalar
-    binomial(2, p(2), size=running) call.  Either engine keeps the running
+    A game stops flagged as truncated after ``round_cap`` effective
+    rounds.  Each engine asks ``rng`` once per step, keeps the running
     games' state compact in slot order and tests the cap only from step
     ``round_cap`` on, since a game plays at most one effective round per
     step.
@@ -406,50 +399,8 @@ def _holding_utility(
 
 
 # The (mean, SE) fields of SimulationResult, in the order of the summary
-# columns of _simulate_block; the two-player pairs come last.
+# columns that run_replications builds; the two-player pairs come last.
 _FIGURES = tuple(zip(SimulationResult._fields[3::2], SimulationResult._fields[4::2]))
-
-
-def _simulate_block(
-    params: AuctionParams,
-    mode: GameMode,
-    bid_prob: np.ndarray,
-    master_seed: int,
-    round_cap: int,
-    initial_wealth: float,
-    b: int,
-    size: int,
-) -> np.ndarray:
-    """Summary rows of block b, which holds ``size`` games.
-
-    One column per pair of _FIGURES, in its order, then the truncation flag.
-
-    The utility column is evaluated for completed games only and reads 0
-    for truncated ones, which no mean uses.
-    """
-    stream = _philox_stream(master_seed, b)
-    with np.errstate(over="raise"):  # a revenue or utility sum past the float range raises
-        game = _play_block(params, mode, bid_prob, stream, size, round_cap)
-        kept = slice(None)  # the holdings of completed games, without a copy if that is all
-        if game.truncated.any():
-            kept = ~game.truncated if game.bid_counts.ndim == 2 else ~game.truncated[game.holder]
-        held = _holding_utility(params, initial_wealth, game.bid_counts[kept], game.won[kept])
-        if held.ndim == 2:  # re-entry: a row per game, summed along the roster
-            per_game = np.zeros(size)
-            per_game[kept] = held.sum(axis=1)
-        else:
-            per_game = np.bincount(game.holder[kept], held * game.players[kept], minlength=size)
-    return np.column_stack(
-        (
-            game.revenue,
-            game.effective_length,
-            game.raw_length,
-            per_game / params.n,
-            game.reached_two_player_state,
-            game.rounds_to_at_most_two,
-            game.truncated,
-        )
-    )
 
 
 def _mean_se(values: np.ndarray) -> tuple:
@@ -457,6 +408,49 @@ def _mean_se(values: np.ndarray) -> tuple:
         mean = float(values.mean())
         se = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else float("nan")
     return mean, se
+
+
+def _capped_stay(leave: float, round_cap: int) -> float:
+    """E[min(Geometric(leave), round_cap)]; a chance of leaving that rounds to 0 never leaves."""
+    if leave <= 0.0:
+        return float(round_cap)
+    return -math.expm1(round_cap * math.log1p(-leave)) / leave if leave < 1.0 else 1.0
+
+
+def _game_cost(params: AuctionParams, mode: GameMode, odds: RoundOdds, round_cap: int) -> tuple:
+    """G, a lower bound on one game's expected raw rounds, and the reason it is so large.
+
+    A game stays in its start state for a capped Geometric(leave) number
+    of effective rounds (Kemeny & Snell), and each takes 1/busy(n) raw
+    rounds on average (Wald's identity).  With re-entry leave is the
+    hazard h(n) and the stay is the whole game.  Without re-entry leave is
+    1 - T[n, n] = (1 - p**n - q**n) / busy(n), with 1 - x**n taken from
+    expm1 for the larger of p and q, so nothing cancels.  A game that
+    reaches two players then stays a capped Geometric(h(2)) number of
+    effective rounds, so the funnel times that stay is a second bound.
+    The funnel, at most 1, is solved only when that stay passes
+    GAME_STEP_BUDGET.
+    """
+    n = params.n
+    if mode is GameMode.WITH_REENTRY:
+        why, leave = "it ends", odds.hazard
+    else:
+        log_q = odds.log_q  # log p = log(1 - q) from expm1 or log1p, whichever keeps it
+        log_p = math.log(odds.bid) if log_q > -math.log(2.0) else math.log1p(-math.exp(log_q))
+        why = f"it leaves its start of {n} players"
+        leave = (-math.expm1(n * max(log_p, log_q)) - math.exp(n * min(log_p, log_q))) / odds.busy
+    cost = _capped_stay(leave, round_cap) / odds.busy
+    if _tracks_two_players(mode, n):
+        h2 = round_odds(odds.log_q * (n - 1), 2).hazard
+        tail = _capped_stay(h2, round_cap)
+        if tail > GAME_STEP_BUDGET:
+            from .attrition import prob_two_player_endgame
+
+            funnel = prob_two_player_endgame(params)
+            if funnel * tail > cost:
+                cost, leave = funnel * tail, h2
+                why = f"it reaches two players with chance {funnel:.3g} and then ends"
+    return cost, f"{why} with chance {leave:.3g} per effective round"
 
 
 def run_replications(
@@ -471,14 +465,9 @@ def run_replications(
     """Run independent replications and aggregate them.
 
     The aggregate is a pure function of (params, mode, count,
-    master_seed, round_cap, initial_wealth).  Replications are cut into
-    blocks whose size depends only on (mode, n): BLOCK_SIZE games
-    without re-entry, and max(1, BLOCK_SIZE * 64 // n) with it, so a
-    block's arrays stay bounded as the roster grows.  Block b always
-    uses the stream derived from (master_seed, b) and is played in one
-    lockstep loop, so a game's draws are fixed by (master_seed, b).  The
-    blocks are played and reduced in replication order, so a rerun is
-    byte-identical.
+    master_seed, round_cap, initial_wealth): block b of _block_size(mode,
+    n) games draws from the stream of (master_seed, b), and the blocks
+    are played and reduced in replication order.
 
     Raises FloatingPointError when a game's revenue or a player utility
     figure leaves the float range: the revenue can at a fee near the
@@ -487,15 +476,11 @@ def run_replications(
     Raises AllTruncatedError when every replication hits the round cap.
 
     Raises RawRoundBudgetError, before playing, when the games would be
-    expected to play more than RAW_ROUND_BUDGET raw rounds in all: each
-    needs 1/busy(n) of them on average, busy(n) = 1 - (1 - p(n))**n
-    being the chance that a round of n players is not replayed.  With
-    re-entry it also raises it when one game alone would be expected to
-    play more than GAME_STEP_BUDGET raw rounds, since a block plays one
-    lockstep step per raw round of its longest game.  Such a game plays
-    Geometric(h) effective rounds cut at round_cap, h being the hazard
-    of n players, so it expects -expm1(round_cap * log1p(-h)) / h of
-    them, and 1/busy(n) raw rounds for each.
+    expected to play more than RAW_ROUND_BUDGET raw rounds in all, or one
+    game more than GAME_STEP_BUDGET, since a block plays one lockstep step
+    per raw round of its longest game.  Both checks read _game_cost's G,
+    which is at least 1/busy(n), busy(n) = 1 - (1 - p(n))**n being the
+    chance that a round of n players is not replayed.
     """
     require_count(count, 1, "replication count must be an integer >= 1, got {!r}")
     require_count(round_cap, 1, "round cap must be an integer >= 1, got {!r}")
@@ -505,32 +490,44 @@ def run_replications(
     if not math.isfinite(initial_wealth):
         raise ParameterError(f"initial wealth must be finite, got {initial_wealth!r}")
     bid_prob = _bid_prob_table(params)
-    # Every game, in either mode, waits 1/busy(n) raw rounds on average
-    # for its first effective round.
     odds = odds_at(params, params.n)
-    busy = odds.busy
-    if count > RAW_ROUND_BUDGET * busy:
+    cost, reason = _game_cost(params, mode, odds, round_cap)
+    if count * cost > RAW_ROUND_BUDGET:
+        if cost * odds.busy <= 1.0 / odds.busy:  # a game waits longer than it lasts
+            reason = f"all {params.n} players pass with chance 1 - {odds.busy:.3g}"
         raise RawRoundBudgetError(
-            f"{count} replications would play about {count / busy:.3g} raw rounds, since "
-            f"all {params.n} players pass with chance 1 - {busy:.3g}; the budget is "
-            f"{RAW_ROUND_BUDGET:.0e} raw rounds"
+            f"{count} replications would play about {count * cost:.3g} raw rounds, since "
+            f"{reason}; the budget is {RAW_ROUND_BUDGET:.0e} raw rounds"
         )
-    if mode is GameMode.WITH_REENTRY:
-        h = odds.hazard
-        effective = -math.expm1(round_cap * math.log1p(-h)) / h if h < 1.0 else 1.0
-        if effective / busy > GAME_STEP_BUDGET:
-            raise RawRoundBudgetError(
-                f"one game would play about {effective / busy:.3g} raw rounds, since it ends "
-                f"with chance {h:.3g} per effective round; the budget is "
-                f"{GAME_STEP_BUDGET:.0e} raw rounds per game"
-            )
+    if cost > GAME_STEP_BUDGET:
+        raise RawRoundBudgetError(
+            f"one game would play about {cost:.3g} raw rounds, since {reason}; the budget "
+            f"is {GAME_STEP_BUDGET:.0e} raw rounds per game"
+        )
 
     block = _block_size(mode, params.n)
-    summary = np.vstack([
-        _simulate_block(params, mode, bid_prob, master_seed, round_cap, initial_wealth, b,
-                        min(block, count - start))
-        for b, start in enumerate(range(0, count, block))
-    ])
+    rows = []
+    with np.errstate(over="raise"):  # a revenue or utility sum past the float range raises
+        for b, start in enumerate(range(0, count, block)):
+            size, stream = min(block, count - start), _philox_stream(master_seed, b)
+            game = _play_block(params, mode, bid_prob, stream, size, round_cap)
+            kept = slice(None)  # the holdings of completed games, without a copy if that is all
+            if game.truncated.any():
+                kept = ~game.truncated if game.bid_counts.ndim == 2 else ~game.truncated[game.holder]
+            # Utility is evaluated for completed games only; a truncated one reads 0.
+            held = _holding_utility(params, initial_wealth, game.bid_counts[kept], game.won[kept])
+            if held.ndim == 2:  # re-entry: a row per game, summed along the roster
+                per_game = np.zeros(size)
+                per_game[kept] = held.sum(axis=1)
+            else:
+                per_game = np.bincount(game.holder[kept], held * game.players[kept], minlength=size)
+            # One column per pair of _FIGURES, in its order, then the truncation flag.
+            rows.append(np.column_stack((
+                game.revenue, game.effective_length, game.raw_length, per_game / params.n,
+                game.reached_two_player_state, game.rounds_to_at_most_two, game.truncated,
+            )))
+            del game, kept, held, per_game  # so no two blocks' arrays are held at once
+    summary = np.vstack(rows)
     completed = summary[summary[:, -1] == 0.0] if summary[:, -1].any() else summary
     truncated_count = int(count - completed.shape[0])
     if completed.shape[0] == 0:

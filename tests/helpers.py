@@ -119,6 +119,16 @@ def domain_points(draw, max_n=1000):
             f"--bid-fee={fee!r}", f"--rho={rho!r}"]
 
 
+def flag_params(flags):
+    """The AuctionParams of a domain_points flag list."""
+    values = dict(flag[2:].split("=", 1) for flag in flags)
+    return AuctionParams(
+        n=int(values["n"]), value=float(values["value"]),
+        sale_price=float(values["sale-price"]), bid_fee=float(values["bid-fee"]),
+        rho=float(values["rho"]),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Independent oracles.
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from helpers import (
     attrition_seed,
     domain_points,
     enumerate_two_player_round,
+    flag_params,
     log_uniform,
     make_params,
     mp_attrition_chain,
@@ -291,12 +292,7 @@ def whole_row_profile(params):
 @settings(max_examples=50, deadline=None)
 @given(domain_points())
 def test_windowed_rows_solve_as_whole_rows(flags):
-    values = dict(flag[2:].split("=", 1) for flag in flags)
-    params = AuctionParams(
-        n=int(values["n"]), value=float(values["value"]),
-        sale_price=float(values["sale-price"]), bid_fee=float(values["bid-fee"]),
-        rho=float(values["rho"]),
-    )
+    params = flag_params(flags)
     assume(params.n <= 400)
     try:
         expected = whole_row_profile(params)
@@ -313,15 +309,6 @@ def test_windowed_rows_solve_as_whole_rows(flags):
     for value, reference in zip(got, expected):
         if reference is not None:
             assert abs(value - reference) <= 1e-12 * abs(reference), (value, reference)
-
-
-def flag_params(flags):
-    values = dict(flag[2:].split("=", 1) for flag in flags)
-    return AuctionParams(
-        n=int(values["n"]), value=float(values["value"]),
-        sale_price=float(values["sale-price"]), bid_fee=float(values["bid-fee"]),
-        rho=float(values["rho"]),
-    )
 
 
 def profile_rewards(k, row):

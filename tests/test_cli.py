@@ -411,17 +411,19 @@ def test_simulate_rerun_is_byte_identical(capsys):
     assert first.encode("utf-8") == second.encode("utf-8")
 
 
-def test_simulate_with_every_game_truncated_exits_2(capsys):
-    # At rho = -0.5 the hazard is about 2e-21, so both games bid on to
-    # the cap.  A player who bid in every round has lost 1500, beyond
-    # the exp range of the utility kernel at this rho; truncated games
-    # enter no mean, so their utility is never evaluated.
+# The hazard is about 2e-21, and without re-entry p(2) = 1 - lambda rounds to
+# 1.0, so in either mode a game bids on to whatever cap it is given.
+TINY_HAZARD = ["--n", "3", "--value", "100", "--sale-price", "5", "--bid-fee", "0.5", "--rho=-0.5"]
+
+
+@pytest.mark.parametrize("mode", ["reentry", "no-reentry"])
+def test_simulate_with_every_game_truncated_exits_2(capsys, mode):
+    # Both games bid on to the cap.  A player who bid in every round has
+    # lost 1500, beyond the exp range of the utility kernel at this rho;
+    # truncated games enter no mean, so their utility is never evaluated.
     code, out, err = run_cli(
         capsys,
-        [
-            "simulate", "--n", "3", "--value", "100", "--sale-price", "5", "--bid-fee", "0.5",
-            "--rho=-0.5", "--replications", "2", "--round-cap", "3000",
-        ],
+        ["simulate", *TINY_HAZARD, "--replications", "2", "--round-cap", "3000", "--mode", mode],
     )
     assert code == 2
     assert out == ""
@@ -462,16 +464,27 @@ def test_simulate_beyond_the_raw_round_budget_exits_3(mode):
     assert "the budget is 1e+11 raw rounds" in proc.stderr
 
 
-def test_simulate_beyond_the_step_budget_of_one_game_exits_3():
-    # The hazard is about 2e-21 but nobody passes, so the raw-round budget
-    # of the run lets it through; its one game would play the whole cap of
-    # 10**7 lockstep steps, which once took minutes.
+@pytest.mark.parametrize("mode", ["reentry", "no-reentry"])
+@pytest.mark.parametrize(
+    "point",
+    [
+        TINY_HAZARD,
+        # The start state is left within a few rounds, but the two-player
+        # tail ends with chance about 1.3e-21 per round.
+        ["--n", "10", *TINY_HAZARD[2:]],
+        # lambda is near 1, so all three players pass in nearly every raw round.
+        ["--n", "3", "--value", "1", "--bid-fee", "0.9999999999"],
+    ],
+    ids=["tiny-hazard", "two-player-tail", "replays"],
+)
+def test_simulate_beyond_the_step_budget_of_one_game_exits_3(point, mode):
+    # The raw-round budget of the run lets each of these through, but its
+    # one game would play the whole cap of 10**7 lockstep steps, or more,
+    # which once took minutes.  A subprocess, so a hang fails the test.
     start = time.perf_counter()
     proc = subprocess.run(
-        [
-            sys.executable, "-m", "paytobid.cli", "simulate", "--n", "3", "--value", "100",
-            "--sale-price", "5", "--bid-fee", "0.5", "--rho=-0.5", "--replications", "1",
-        ],
+        [sys.executable, "-m", "paytobid.cli", "simulate", *point, "--replications", "1",
+         "--mode", mode],
         capture_output=True,
         text=True,
         timeout=30,
@@ -1139,8 +1152,8 @@ def test_long_equilibrium_csv_is_byte_identical_to_csv_writer(capsys):
 # the valid domain: n >= 2, 0 < c < v - s, rho <= 0
 # ---------------------------------------------------------------------------
 
-# simulate is left out: its raw-round budget bounds the replays, but a
-# game may still bid on to its round cap of 10^7 effective rounds.
+# simulate is left out: its budgets bound every game, but a game at the
+# per-game budget still plays 10^6 lockstep steps, longer than the deadline.
 @pytest.mark.parametrize("command", ["equilibrium", "revenue", "attrition"])
 def test_valid_domain_exits_cleanly(command):
     @settings(max_examples=100, deadline=timedelta(seconds=5), phases=NO_SHRINK)

@@ -6,8 +6,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpf
 from scipy import stats
 
 from paytobid import (
@@ -21,13 +22,18 @@ from paytobid import (
     bid_count_distribution,
     closed_form_revenue,
     run_replications,
+    win_probability,
 )
 from paytobid.equilibrium import bid_probability, odds_at
 from paytobid.simulator import (
     _FIGURES,
     BLOCK_SIZE,
     BlockRecord,
+    RawRoundBudgetError,
     _bid_prob_table,
+    _block_size,
+    _capped_stay,
+    _game_cost,
     _last_bid_word,
     _net_money,
     _philox_stream,
@@ -39,6 +45,8 @@ from helpers import (
     NO_SHRINK,
     attrition_params,
     attrition_seed,
+    domain_points,
+    flag_params,
     make_params,
     revenue_seed,
 )
@@ -914,6 +922,23 @@ def test_block_memory_does_not_grow_with_the_roster(mode, n):
     assert peak < 50e6, f"peak {peak / 1e6:.1f} MB"
 
 
+@pytest.mark.parametrize("mode, n", [(GameMode.NO_REENTRY, 200), (GameMode.WITH_REENTRY, 50)])
+def test_run_holds_one_block_at_a_time(mode, n):
+    # A block's arrays are freed before the next block is played, so a run
+    # of three blocks peaks about as high as a run of one: 1.2 and 1.0
+    # times as high here, against 1.5 to 1.6 with two blocks held at once.
+    params = attrition_params(n, 100)
+    peaks = []
+    for count in (_block_size(mode, n), 3 * _block_size(mode, n)):
+        tracemalloc.start()
+        try:
+            run_replications(params, mode, count, 5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.4 * peaks[0], peaks
+
+
 # ---------------------------------------------------------------------------
 # Oracles: simulation reproduces the analytic quantities.
 # ---------------------------------------------------------------------------
@@ -979,3 +1004,76 @@ def test_replays_add_the_exact_raw_rounds(mode):
     result = run_replications(params, mode, 20_000, 2024)
     assert abs(result.mean_effective_length - exact_effective) <= 3.0 * result.se_effective_length
     assert abs(result.mean_raw_length - exact_raw) <= 3.0 * result.se_raw_length
+
+
+def exact_raw_rounds(params, mode, lam, dps=30):
+    """Expected raw rounds of one uncapped game at the win ratio lam: in all, and in its start.
+
+    Whole chain rows in dps-digit arithmetic: row k holds
+    T[k, m] = C(k, m) p**m q**(k - m) / busy(k), and each effective round
+    with k active takes 1/busy(k) raw rounds on average.  With re-entry
+    only m = 1 leaves the start; without it every m < k does, and the
+    game goes on from m.  A state's chance of leaving is summed from the
+    entries that leave it, so nothing cancels.
+    """
+    n = params.n
+    with mp.workdps(dps):
+        log_lam = mp.log(mpf(lam))
+        raw = [mpf(0), mpf(0)]  # raw[k]: raw rounds still to come with k active
+        for k in range(2, n + 1) if mode is GameMode.NO_REENTRY else [n]:
+            log_q = log_lam / (k - 1)
+            p, q, busy = -mp.expm1(log_q), mp.exp(log_q), -mp.expm1(k * log_q)
+            row = [mp.binomial(k, m) * p**m * q ** (k - m) / busy for m in range(k)]
+            moves = row[2:k] if mode is GameMode.NO_REENTRY else []
+            leave = row[1] + mp.fsum(moves)
+            start = 1 / (busy * leave)  # raw rounds spent with k active
+            raw.append(start + mp.fdot(moves, raw[2:k]) / leave)
+        return raw[-1], start
+
+
+@pytest.mark.parametrize("leave", [0.0, -1e-300, 1e-300, 0.25, 1.0 - 2**-53, 1.0, 1.0 + 2**-52])
+def test_capped_stay_is_the_capped_geometric_mean(leave):
+    # E[min(L, cap)] = sum over t < cap of P(L > t) = sum of (1 - leave)**t;
+    # a chance of leaving that rounds to 0 or below never leaves.
+    stay = mp.fsum((1 - mpf(min(max(leave, 0.0), 1.0))) ** t for t in range(7))
+    assert _capped_stay(leave, 7) == pytest.approx(float(stay), rel=1e-15)
+
+
+@settings(max_examples=150, deadline=None, phases=NO_SHRINK)
+@given(
+    flags=domain_points(max_n=30),
+    mode=st.sampled_from(GameMode),
+    round_cap=st.sampled_from([DEFAULT_ROUND_CAP, 2**62]),
+)
+@example(  # the two-player tail holds the game
+    flags=["--n=10", "--value=100.0", "--sale-price=5.0", "--bid-fee=0.5", "--rho=-0.5"],
+    mode=GameMode.NO_REENTRY,
+    round_cap=DEFAULT_ROUND_CAP,
+)
+@example(  # all three players bid in all but about 3e-6 of the rounds
+    flags=["--n=3", "--value=1e+12", "--sale-price=0.0", "--bid-fee=1.0", "--rho=0.0"],
+    mode=GameMode.NO_REENTRY,
+    round_cap=2**62,
+)
+def test_game_cost_is_at_most_the_exact_raw_length(flags, mode, round_cap):
+    # G bounds one game's expected raw rounds from below, and where the
+    # cap cannot bind it is at least the exact raw rounds of the start state.
+    params = flag_params(flags)
+    try:
+        lam = win_probability(params)
+    except ArithmeticError:  # lambda out of reach: run_replications refuses it too
+        assume(False)
+    cost, _ = _game_cost(params, mode, odds_at(params, params.n), round_cap)
+    total, start = exact_raw_rounds(params, mode, lam)
+    assert cost <= total * (1 + mpf(1e-12)), (cost, total)
+    if round_cap == 2**62 and start < 2**52:
+        assert cost >= start * (1 - mpf(1e-9)), (cost, start)
+
+
+@pytest.mark.parametrize("mode", list(GameMode))
+def test_many_long_games_pass_the_raw_round_budget(mode):
+    # Each game expects about 5e5 raw rounds, within the budget of one
+    # game, and nearly no replays; a million of them would play 5e11.
+    params = AuctionParams(n=2, value=1e6, sale_price=0.0, bid_fee=1.0)
+    with pytest.raises(RawRoundBudgetError, match=r"about 5e\+11 raw rounds, since it .* 2e-06"):
+        run_replications(params, mode, 10**6, 1)

@@ -10,7 +10,7 @@ indifference condition.
 
 Every exported name loads its submodule on first use (PEP 562), and
 importing the package loads no submodule.  Only the Monte Carlo needs
-numpy, whose import costs a process about 50 ms; the closed forms and
+numpy, whose import costs a process 36-38 ms; the closed forms and
 the attrition chain are scalar arithmetic, so ``paytobid equilibrium``,
 ``revenue`` and ``attrition`` without Monte Carlo replications never
 load it, and a process that runs without bytecode compiles only the

@@ -492,9 +492,9 @@ def run_replications(
     bid_prob = _bid_prob_table(params)
     odds = odds_at(params, params.n)
     cost, reason = _game_cost(params, mode, odds, round_cap)
+    if cost * odds.busy <= 1.0 / odds.busy:  # a game waits longer than it lasts
+        reason = f"all {params.n} players pass with chance 1 - {odds.busy:.3g}"
     if count * cost > RAW_ROUND_BUDGET:
-        if cost * odds.busy <= 1.0 / odds.busy:  # a game waits longer than it lasts
-            reason = f"all {params.n} players pass with chance 1 - {odds.busy:.3g}"
         raise RawRoundBudgetError(
             f"{count} replications would play about {count * cost:.3g} raw rounds, since "
             f"{reason}; the budget is {RAW_ROUND_BUDGET:.0e} raw rounds"

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import time
@@ -464,6 +465,10 @@ def test_simulate_beyond_the_raw_round_budget_exits_3(mode):
     assert "the budget is 1e+11 raw rounds" in proc.stderr
 
 
+# lambda is near 1, so all three players pass in nearly every raw round.
+REPLAYS = ["--n", "3", "--value", "1", "--bid-fee", "0.9999999999"]
+
+
 @pytest.mark.parametrize("mode", ["reentry", "no-reentry"])
 @pytest.mark.parametrize(
     "point",
@@ -472,8 +477,7 @@ def test_simulate_beyond_the_raw_round_budget_exits_3(mode):
         # The start state is left within a few rounds, but the two-player
         # tail ends with chance about 1.3e-21 per round.
         ["--n", "10", *TINY_HAZARD[2:]],
-        # lambda is near 1, so all three players pass in nearly every raw round.
-        ["--n", "3", "--value", "1", "--bid-fee", "0.9999999999"],
+        REPLAYS,
     ],
     ids=["tiny-hazard", "two-player-tail", "replays"],
 )
@@ -493,6 +497,8 @@ def test_simulate_beyond_the_step_budget_of_one_game_exits_3(point, mode):
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert "the budget is 1e+06 raw rounds per game" in proc.stderr
+    if point == REPLAYS:  # the game expects one effective round; the rest are replays
+        assert "since all 3 players pass with chance 1 - 1.5e-10;" in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["simulate", "revenue", "attrition"])
@@ -907,7 +913,7 @@ CLOSED_FORM_POINT = ["--n", "4", "--value", "10", "--bid-fee", "1", "--rho=-0.1"
 )
 def test_closed_forms_run_without_numpy(argv, last_row):
     # The closed forms and the attrition chain are scalar arithmetic.
-    # numpy's import alone costs a process about 50 ms, and that of
+    # numpy's import alone costs a process 36-38 ms, and that of
     # dataclasses, which imports inspect, about 17 ms.  A JSON table
     # needs no csv module either.
     proc = subprocess.run(
@@ -945,6 +951,90 @@ def test_simulate_runs_without_dataclasses():
     assert proc.returncode == 0, proc.stderr
     (row,) = json.loads(proc.stdout)["rows"]
     assert (row["status"], row["replications"]) == ("OK", 1)
+
+
+# Runs in a fresh process with ctypes.CDLL replaced before paytobid is
+# imported: by a C library whose mallopt records its arguments, one
+# without mallopt, or one that cannot be loaded.  The library's own run
+# must make no mallopt call; the CLI's sweep of two points makes one.
+FAKE_LIBC = """
+import ctypes, json, sys
+
+calls = []
+
+
+class Libc:
+    def __init__(self, name, *args, **kwargs):
+        if sys.argv[1] == "no-libc":
+            raise OSError("no C library")
+
+    def __getattr__(self, name):
+        if name != "mallopt" or sys.argv[1] == "no-mallopt":
+            raise AttributeError(name)
+
+        def mallopt(param, value):
+            calls.append([param, value])
+            return 1
+
+        return mallopt
+
+
+ctypes.CDLL = Libc
+from paytobid import AuctionParams, GameMode, run_replications
+import paytobid.cli
+
+run_replications(AuctionParams(3, 10.0, 0.0, 1.0, -0.1), GameMode.WITH_REENTRY, 100, 1)
+assert calls == [], calls
+code = paytobid.cli.main(sys.argv[2:])
+print(json.dumps([code, calls]), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("libc", ["records", "no-mallopt", "no-libc"])
+def test_only_the_cli_keeps_freed_memory(libc):
+    argv = ["simulate", *BASE, "--rho=-0.1", "--replications", "100", "--sweep", "n=2,3"]
+    plain = subprocess.run(
+        [sys.executable, "-m", "paytobid.cli", *argv], capture_output=True, check=True
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", FAKE_LIBC, libc, *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, calls = json.loads(proc.stderr)
+    assert code == 0
+    assert calls == ([[-2, 32 << 20]] if libc == "records" else [])  # M_TOP_PAD, once
+    assert proc.stdout.encode("utf-8") == plain.stdout
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc", reason="the top pad is a setting of glibc's malloc"
+)
+def test_simulate_faults_each_page_of_its_peak_about_once():
+    # Without the top pad, glibc's malloc gives each block's freed arrays
+    # back to the OS, and this run took about 26,000 minor faults against
+    # some 11,900 pages at its peak.  A process's ru_maxrss counts the
+    # memory of the process that started it, so a small launcher starts
+    # the CLI and reports its usage.
+    launcher = (
+        "import json, os, subprocess, sys\n"
+        "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+        "_, status, usage = os.wait4(proc.pid, 0)\n"
+        "print(json.dumps([os.waitstatus_to_exitcode(status), usage.ru_minflt, usage.ru_maxrss]))\n"
+    )
+    proc = subprocess.run(
+        [
+            sys.executable, "-c", launcher, sys.executable, "-m", "paytobid.cli", "simulate",
+            "--n", "50", "--value", "10", "--bid-fee", "1", "--rho=-0.1",
+            "--replications", "40000", "--seed", "1",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    code, faults, peak_kib = json.loads(proc.stdout)
+    assert code == 0
+    assert faults <= peak_kib / (os.sysconf("SC_PAGE_SIZE") / 1024)
 
 
 # Names the package no longer exports: the scalar game and the bisection

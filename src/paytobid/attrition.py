@@ -13,13 +13,13 @@ round is binomial conditioned on at least one bid:
 One bidder wins the object, so state 1 absorbs.  Every quantity below
 is an expectation x solving (I - Q) x = r over the states k >= 2, with
 x = 0 on the ended game; T is lower triangular, so ascending k is a
-forward substitution.  Rows are built in log space from lgamma, and
-the self-loop complement 1 - T[k, k] is summed from the row's other
-entries, so nothing overflows at large k and nothing cancels when
-T[k, k] is close to 1.  log C(k, m) is a difference of lgammas of about
-k ln k, so an entry of row k carries a relative error of up to about
-lgamma(k + 1) times the double epsilon: against 50-digit mpmath, 1.7e-12
-at k = 979 and 4e-10 at k = 10**6.
+forward substitution.  Rows are built in log space, and the self-loop
+complement 1 - T[k, k] is summed from the row's other entries, so
+nothing overflows at large k and nothing cancels when T[k, k] is close
+to 1.  log C(k, m) is summed m by m from log((k - m + 1) / m), which,
+unlike a difference of log-factorials of about k ln k, does not cancel:
+against 50-digit mpmath, rows 979, 10**5 and 10**6 are within 1e-13,
+and row 1000 at lambda = 1e-300, whose log terms reach 690, about 1e-12.
 
 A row's mass lies within a few dozen bidder counts of its mode, which
 sits near -ln(lambda) whatever k is, so the solve builds a row only as
@@ -44,15 +44,15 @@ never the rows in between: its cost is set by the window, not by n.
 The chain is Markov in the count, so every figure is a function of the
 grid point alone.  Each public function takes the start from params.n,
 which AuctionParams has already checked to be at least 2, and the rows
-read the point only through log lambda, which a solve forms once.
+read the point only through log lambda, which each figure forms once.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from itertools import chain, islice, takewhile
-from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence
+from itertools import accumulate, chain, islice, takewhile
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .equilibrium import (
     AuctionParams,
@@ -77,16 +77,16 @@ def _transition_rows(
     m = 1 up to the mode and m = 2, then each m above them while its
     log term is within window of the mode's.  A walk that reaches k - 1
     keeps T[k, k] too, so a window of math.inf keeps every row whole.
-    Each log-factorial is math.lgamma(i + 1.0), taken only for the i
-    that a kept entry reads, so a row costs its own width whatever k is.
+    log C(k, m) is the running sum of log((k - j + 1) / j) for j <= m,
+    taken only for the kept m, so a row costs its width whatever k is.
     """
-    lgamma = math.lgamma
     for k in ks:
         odds = round_odds(log_lam, k)  # busy = 1 - q**k is the replay normaliser
         # log T[k, m] = log C(k, m) + m log(1 - q) + (k - m) log q - log busy
-        base = lgamma(k + 1.0) + k * odds.log_q - math.log(odds.busy)
+        base = k * odds.log_q - math.log(odds.busy)
         slope = math.log(odds.bid) - odds.log_q
-        terms = (base - lgamma(k - m + 1.0) - lgamma(m + 1.0) + m * slope for m in range(1, k + 1))
+        steps = map(math.log, map(operator.truediv, range(k, 0, -1), range(1, k + 1)))
+        terms = (base + log_comb + m * slope for m, log_comb in enumerate(accumulate(steps), 1))
         mode = min(max(int((k + 1) * odds.bid), 1), k - 1)
         logs = list(islice(terms, min(max(mode, 2), k - 1)))
         # The walk takes the first term below the floor from the generator
@@ -98,13 +98,12 @@ def _transition_rows(
 
 
 def _solve(
-    params: AuctionParams,
-    reward: Callable[[int, List[float]], Sequence[float]],
+    log_lam: float, n: int, reward: Callable[[int, List[float]], Sequence[float]]
 ) -> List[float]:
     """x[n], one entry per reward column, solving x[k] = r[k] + sum_m T[k, m] x[m].
 
-    n is params.n, the start.  lambda is formed once, and every row is
-    built from its logarithm.  reward(k, row) gives the columns of r[k]
+    n is the start, and every row is built from log_lam, the logarithm
+    of the win ratio lambda.  reward(k, row) gives the columns of r[k]
     from row k of T, as _transition_rows builds it.  x is 0 on the ended
     game (k <= 1), and a state whose reward is 0 and that leads only to
     such states solves to 0, which is how a caller makes the states at
@@ -121,8 +120,6 @@ def _solve(
     float range, as it does once leaving such a state is less likely
     than 1e-308.
     """
-    n = params.n
-    log_lam = math.log(win_probability(params))
     (last,) = _transition_rows(log_lam, range(n, n + 1))
     ks = range(2, min(len(last), n - 1) + 1)
     rows = chain(_transition_rows(log_lam, ks), [last])
@@ -144,9 +141,9 @@ def _solve(
     return [x[-1] for x in columns]
 
 
-def _funnel_reward(k: int, row: List[float]) -> float:
-    """One-step chance of landing on exactly two players, from k >= 3."""
-    return row[1] if k >= 3 else 0.0
+def _two_player_rewards(k: int, row: List[float]) -> Tuple[float, float]:
+    """A round, and the one-step chance T[k, 2] of two players, from k >= 3."""
+    return (1.0, row[1]) if k > 2 else (0.0, 0.0)
 
 
 def bid_count_distribution(params: AuctionParams, k: int) -> List[float]:
@@ -171,7 +168,8 @@ def expected_passage_time(params: AuctionParams, target: int) -> float:
     expected length of the whole game.
     """
     require_count(target, 1, "target player count must be an integer >= 1, got {!r}")
-    (length,) = _solve(params, lambda k, row: (float(k > target),))
+    log_lam = math.log(win_probability(params))
+    (length,) = _solve(log_lam, params.n, lambda k, row: (float(k > target),))
     return length
 
 
@@ -181,17 +179,21 @@ def prob_two_player_endgame(params: AuctionParams) -> float:
     Solves P(k) = [P(Z=2) + sum_{3<=j<k} P(Z=j) P(j)] / (1 - P(Z=k))
     ascending in k, where Z is the bidder count of an effective round.
     Requires params.n >= 3; with two starting players the event is
-    vacuous.  Solved alone, it stays finite where attrition_profile overflows.
+    vacuous.  It stays finite where attrition_profile's game length overflows.
     """
     require_count(
         params.n, 3, "two-player endgame requires a start of at least 3 players, got {!r}"
     )
-    (funnel,) = _solve(params, lambda k, row: (_funnel_reward(k, row),))
+    _, funnel = _solve(math.log(win_probability(params)), params.n, _two_player_rewards)
     return funnel
 
 
 class AttritionProfile(NamedTuple):
-    """The attrition figures of one start, from a single chain solve."""
+    """The attrition figures of one start, from a single chain solve.
+
+    A game of n >= 3 spends all but a share of about (2/3) sqrt(lambda)
+    of its expected length with two players, whatever n is.
+    """
 
     rounds_to_one: float
     rounds_to_two: float
@@ -208,13 +210,17 @@ class AttritionProfile(NamedTuple):
 def attrition_profile(params: AuctionParams) -> AttritionProfile:
     """Rounds to <= 1 and <= 2 players, and the funnel, from params.n players.
 
-    Equals expected_passage_time(params, 1), expected_passage_time(params, 2)
-    and prob_two_player_endgame(params), but solves the chain once with a
-    three-column reward instead of once per figure.
+    One chain solve gives rounds_to_two and the funnel.  Two players then
+    end the game with the hazard h(2) per round, so rounds_to_one is
+    rounds_to_two + reach / h(2), where reach is the funnel, or 1 for a
+    start of two.  Raises FloatingPointError where that sum overflows.
     """
-    rounds_to_one, rounds_to_two, funnel = _solve(
-        params, lambda k, row: (1.0, float(k > 2), _funnel_reward(k, row))
-    )
+    log_lam = math.log(win_probability(params))
+    rounds_to_two, funnel = _solve(log_lam, params.n, _two_player_rewards)
+    h2 = round_odds(log_lam, 2).hazard
+    rounds_to_one = rounds_to_two + (funnel if params.n >= 3 else 1.0) / h2
+    if not math.isfinite(rounds_to_one):
+        raise FloatingPointError(f"overflow: the game length passes the float range; h(2) = {h2!r}")
     return AttritionProfile(rounds_to_one, rounds_to_two, funnel if params.n >= 3 else None)
 
 
@@ -222,8 +228,8 @@ def endgame_time_fraction(params: AuctionParams) -> float:
     """Share of the expected game length spent getting down to 2 players.
 
     expected_passage_time(params, 2) / expected_passage_time(params, 1)
-    for a start of params.n >= 3 players; shrinks toward zero as the
-    value-to-fee ratio grows, i.e. the two-player war eats the whole game.
+    for a start of params.n >= 3 players; about (2/3) sqrt(lambda) as the
+    value-to-fee ratio grows, i.e. the two-player war eats the game.
     """
     require_count(
         params.n, 3, "endgame fraction requires a start of at least 3 players, got {!r}"

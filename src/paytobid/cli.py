@@ -188,12 +188,9 @@ def _load_config_file(path: str) -> Dict[str, object]:
 
     if text.lstrip().startswith("{"):
         try:
-            doc = json.loads(text)
+            pairs = list(json.loads(text).items())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from None
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config file {path!r} must hold a JSON object")
-        pairs = list(doc.items())
     else:
         pairs = []
         for lineno, line in enumerate(text.splitlines(), start=1):

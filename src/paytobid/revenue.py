@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .equilibrium import AuctionParams, ParameterError, odds_at
+from .equilibrium import AuctionParams, ParameterError, odds_at, round_odds, win_probability
 
 DEFAULT_TRUNCATION_TOL = 1e-9
 
@@ -91,17 +91,14 @@ def closed_form_revenue(params: AuctionParams) -> RevenueBreakdown:
 
     The total carries no dependence on the player count: the per-round
     fee flow and the hazard both vary with n but their ratio collapses
-    to c / (1-p)**(n-1) = c * u(v-s) / u(c).  At rho = 0 the total
-    reduces to the object value itself.
-
-    Raises FloatingPointError when the total passes the float range,
-    which s + c * u(v - s) / u(c) can near the largest float.
+    to c / (1-p)**(n-1) = c / lambda, the fee over the win ratio that
+    win_probability forms.  At rho = 0 the total reduces to the object
+    value itself.  Raises FloatingPointError when the total passes the
+    float range, which s + c / lambda can near the largest float.
     """
-    u = params.utility
-    fee = params.bid_fee * (
-        u.evaluate(params.value - params.sale_price) / u.evaluate(params.bid_fee)
-    )
-    odds = odds_at(params, params.n)
+    lam = win_probability(params)
+    fee = params.bid_fee / lam
+    odds = round_odds(math.log(lam), params.n)
     total = params.sale_price + fee
     if not math.isfinite(total):
         raise FloatingPointError(

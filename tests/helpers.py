@@ -170,24 +170,32 @@ def three_se_apart(mean_a, se_a, value_b):
 def mp_attrition_chain(params, dps=40):
     """Rounds to one, rounds to two and the two-player funnel from params.n players.
 
-    The whole no-re-entry chain in dps-digit arithmetic: the win ratio
-    u(c) / u(v - s), then every row from m = 1 to k, each a binomial law
-    conditioned on at least one bid, solved by forward substitution.
+    The no-re-entry chain in dps-digit arithmetic: the win ratio
+    u(c) / u(v - s), then each row from m = 1 up, a binomial law
+    conditioned on at least one bid, solved by forward substitution.  A
+    row stops past its mode at the first term below 10**-(dps + 10) of
+    its largest.  The law is log-concave, so the terms after it fall
+    faster than geometrically and sum to far less than the working
+    precision, and a row costs its width, not k.
     """
     n = params.n
     with mp.workdps(dps):
         rho = mpf(params.rho)
         u = (lambda x: x) if rho == 0 else (lambda x: mp.expm1(-rho * x) / -rho)
         lam = u(mpf(params.bid_fee)) / u(mpf(params.value) - mpf(params.sale_price))
+        floor = mpf(10) ** -(dps + 10)
         one, two, funnel = ([mpf(0)] * 2 for _ in range(3))  # x[0] = x[1] = 0
         for k in range(2, n + 1):
             q = lam ** (mpf(1) / (k - 1))
             ratio = (1 - q) / q
             term = k * (1 - q) * q ** (k - 1) / (1 - q**k)  # T[k, 1]
-            row = [term]
+            row, top = [term], term
             for m in range(2, k + 1):
                 term = term * (k - m + 1) / m * ratio
+                if m > 2 and term < min(row[-1], top * floor):
+                    break
                 row.append(term)
+                top = max(top, term)
             leave = mp.fsum(row[: k - 1])
             moves = row[1 : k - 1]
             for x, r in ((one, 1), (two, int(k > 2)), (funnel, row[1] if k >= 3 else 0)):

@@ -25,7 +25,7 @@ from paytobid import (
     prob_two_player_endgame,
     win_probability,
 )
-from paytobid.attrition import _funnel_reward, _solve
+from paytobid.attrition import _solve, _transition_rows, _two_player_rewards
 from paytobid.cli import main
 from paytobid.equilibrium import odds_at, round_odds
 
@@ -251,15 +251,15 @@ def test_profile_is_the_source_of_the_two_player_views(n, ratio):
         return
     assert profile.endgame_time_fraction == endgame_time_fraction(params)
     assert profile.endgame_time_fraction == profile.rounds_to_two / profile.rounds_to_one
-    # The chain solves each reward column on its own, so the funnel of
-    # the three-column profile is the funnel solved alone, bit for bit.
+    # Both run the same two-column solve, so the funnel is the same bit
+    # for bit.
     assert profile.two_player_endgame_prob == prob_two_player_endgame(params)
 
 
 def test_funnel_stays_finite_where_the_profile_overflows():
     # lambda = 1e-310, so two players leave their state with chance
-    # 2e-310 and the expected lengths pass the float range; the funnel,
-    # solved alone, does not.
+    # 2e-310 and the game length passes the float range; the funnel,
+    # from the same solve, does not.
     params = AuctionParams(n=4, value=1e300, sale_price=0.0, bid_fee=1e-10)
     with pytest.raises(FloatingPointError, match="overflow"):
         attrition_profile(params)
@@ -267,7 +267,7 @@ def test_funnel_stays_finite_where_the_profile_overflows():
 
 
 @pytest.mark.parametrize("ratio", [1.01, 10.0, 1e3, 1e6])
-@pytest.mark.parametrize("n", [3, 50, 300])
+@pytest.mark.parametrize("n", [3, 50, 300, 1000, 1500])
 def test_profile_matches_a_40_digit_chain(n, ratio):
     params = ladder_params(ratio, n)
     for got, exact in zip(attrition_profile(params), mp_attrition_chain(params)):
@@ -312,8 +312,8 @@ def test_windowed_rows_solve_as_whole_rows(flags):
 
 
 def profile_rewards(k, row):
-    """attrition_profile's three reward columns."""
-    return 1.0, float(k > 2), _funnel_reward(k, row)
+    """The rounds to one player, then attrition_profile's two reward columns."""
+    return (1.0, *_two_player_rewards(k, row))
 
 
 def profile_bits(solve, params):
@@ -325,8 +325,8 @@ def profile_bits(solve, params):
     return one.hex(), two.hex(), funnel.hex() if params.n >= 3 else None
 
 
-def cut_profile(params, n, _):
-    return attrition_profile(params)
+def cut_solve(params, n, reward):
+    return _solve(math.log(win_probability(params)), n, reward)
 
 
 # Row n of this start is cut well below n - 1, so the cut solve skips
@@ -345,7 +345,21 @@ def test_cut_solve_is_the_whole_solve_bit_for_bit(flags):
     # sums them with fsum in the same order, so every float is the same;
     # a start whose states overflow raises the same error either way.
     params = flag_params(flags)
-    assert profile_bits(cut_profile, params) == profile_bits(solve_every_state, params)
+    bits = profile_bits(cut_solve, params)
+    assert bits == profile_bits(solve_every_state, params)
+    # The profile takes the rounds to two and the funnel from that solve,
+    # and the length from the two-player identity.
+    try:
+        profile = attrition_profile(params)
+    except (ArithmeticError, ValueError) as exc:
+        assert bits is type(exc)
+        return
+    log_lam = math.log(win_probability(params))
+    two, funnel = cut_solve(params, params.n, _two_player_rewards)
+    reach = funnel if params.n >= 3 else 1.0
+    one = two + reach / round_odds(log_lam, 2).hazard
+    assert (profile.rounds_to_one.hex(), profile.rounds_to_two.hex()) == (one.hex(), two.hex())
+    assert profile.two_player_endgame_prob == (funnel if params.n >= 3 else None)
 
 
 def two_player_identity(params, rounds_to_two, funnel):
@@ -401,6 +415,21 @@ def test_two_player_identity_at_the_40_digit_points(n, ratio):
     assert abs(profile.rounds_to_one - closed) <= 1e-12 * profile.rounds_to_one
 
 
+@pytest.mark.parametrize("ratio", [1e12, 1e18, 1e24])
+@pytest.mark.parametrize("n", [3, 10, 50, 300])
+def test_endgame_share_is_two_thirds_of_root_lambda(n, ratio):
+    # The rounds before two players are left are mostly the 1 / (3 q)
+    # rounds at three players, q = sqrt(lambda); the two-player war lasts
+    # about 1 / (2 lambda).  So the share of the length before it is
+    # (2/3) sqrt(lambda), with a next term of about lambda ** (2/3) / 2.
+    params = ladder_params(ratio, n)
+    one, two, _ = mp_attrition_chain(params)
+    root = 1.0 / math.sqrt(ratio)
+    share = float(two / one) / root
+    assert 2.0 / 3.0 <= share <= 2.0 / 3.0 + root ** (1.0 / 3.0), share
+    assert endgame_time_fraction(params) == pytest.approx(float(two / one), rel=1e-12)
+
+
 def wald_gap(params):
     """Relative gap of s + c E[bids] from the chain to the closed-form revenue.
 
@@ -410,7 +439,7 @@ def wald_gap(params):
     """
     try:
         log_lam = math.log(win_probability(params))
-        (bids,) = _solve(params, lambda k, row: (round_odds(log_lam, k).entrants,))
+        (bids,) = _solve(log_lam, params.n, lambda k, row: (round_odds(log_lam, k).entrants,))
         total = closed_form_revenue(params).total
     except ArithmeticError:  # an expectation or u(x) past the float range
         return None
@@ -420,12 +449,10 @@ def wald_gap(params):
     return abs(chain - total) / total
 
 
-# Row k's entries carry a relative error of about 1.4 lgamma(k + 1)
-# times the double epsilon, from log C(k, m) taken as a difference of
-# lgammas; that passes 1e-12 from about 500 players on.  The property is
-# checked below that, and the starts past it are pinned as a known
-# failure, which passes once the rows are built to their rounding.
-WALD_MAX_N = 400
+# The largest start checked.  Rows that lose lgamma(k + 1) times the
+# double epsilon to cancellation pass 1e-12 from about 500 players on,
+# so the check reaches well past that.
+WALD_MAX_N = 1500
 
 
 @settings(max_examples=200, deadline=None, phases=NO_SHRINK)
@@ -436,11 +463,31 @@ def test_chain_bids_are_the_closed_form_revenue(flags):
     assert gap <= 1e-12
 
 
-@pytest.mark.xfail(strict=True, reason="rows lose lgamma(k + 1) * eps to cancellation")
 @pytest.mark.parametrize("n,fee", [(979, 0.9999999720566346), (1500, 0.999999999999)])
 def test_chain_bids_are_the_closed_form_revenue_past_a_few_hundred_players(n, fee):
     gap = wald_gap(AuctionParams(n=n, value=1.0, sale_price=0.0, bid_fee=fee, rho=0.0))
     assert gap <= 1e-12
+
+
+# Where log C(k, m) as a difference of lgammas would cancel most:
+# T[979, 1] would be 1.7e-12 off, T[10**5, 1] 3.7e-10 and T[10**6, 5]
+# 4.4e-10.
+@pytest.mark.parametrize(
+    "k,value,fee", [(979, 1.0, 0.9999999720566346), (10**5, 100.0, 1.0), (10**6, 100.0, 1.0)]
+)
+def test_rows_match_a_50_digit_binomial(k, value, fee):
+    params = AuctionParams(n=k, value=value, sale_price=0.0, bid_fee=fee)
+    log_lam = math.log(win_probability(params))
+    (row,) = _transition_rows(log_lam, range(k, k + 1))
+    with mp.workdps(50):
+        q = mp.exp(mpf(log_lam) / (k - 1))  # the rows' own lambda, exactly
+        exact = [
+            mp.binomial(k, m) * (1 - q) ** m * q ** (k - m) / (1 - q**k)
+            for m in range(1, len(row) + 1)
+        ]
+    errors = [float(abs(got - want) / want) for got, want in zip(row, exact)]
+    assert max(errors[:5]) <= 1e-14, errors
+    assert max(errors) <= 2e-13, errors
 
 
 def test_profile_requires_two_players():

@@ -738,6 +738,27 @@ def test_repeated_sweep_axis_exits_2(capsys, tmp_path, flags, config):
     assert err == "error: sweep 'n=4' repeats the n axis; list all its values in one sweep\n"
 
 
+@pytest.mark.parametrize(
+    "flags,config,message",
+    [
+        (["--sweep", "n="], None, "error: sweep 'n=' lists no values\n"),
+        (["--sweep", "n=a,3"], None, "error: bad sweep value in 'n=a,3': "),
+        ([], '{"n": 3,', "is not valid JSON: "),
+        ([], "n 3\n", "line 1: expected key = value\n"),
+    ],
+    ids=["empty-sweep", "bad-sweep-value", "bad-json", "no-equals-sign"],
+)
+def test_bad_sweep_or_config_text_exits_2(capsys, tmp_path, flags, config, message):
+    argv = ["equilibrium", *BASE, *flags]
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config)
+        argv += ["--config", str(path)]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert message in err and err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("encoding", ["lines", "json"])
 @pytest.mark.parametrize("key", list(SETTING_CASES))
 def test_config_file_and_flags_agree(capsys, tmp_path, key, encoding):

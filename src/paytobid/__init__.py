@@ -24,8 +24,8 @@ _EXPORTS = {
         "endgame_time_fraction", "expected_passage_time", "prob_two_player_endgame",
     ),
     "equilibrium": (
-        "DEFAULT_ROUND_CAP", "AuctionParams", "EquilibriumPolicy", "GameMode",
-        "bid_probability", "win_probability",
+        "DEFAULT_ROUND_CAP", "AuctionParams", "GameMode", "bid_probability",
+        "win_probability",
     ),
     "revenue": (
         "RevenueBreakdown", "SeriesLengthError", "closed_form_revenue", "revenue_series",

@@ -42,6 +42,7 @@ import functools
 import io
 import itertools
 import json
+import math
 import os
 import sys
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -49,9 +50,10 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 from .equilibrium import (
     DEFAULT_ROUND_CAP,
     AuctionParams,
-    EquilibriumPolicy,
     GameMode,
     ParameterError,
+    bid_probabilities,
+    win_probability,
 )
 from .revenue import DEFAULT_TRUNCATION_TOL, closed_form_revenue, revenue_series
 
@@ -259,11 +261,11 @@ Block = Dict[str, object]  # column -> scalar, or list of one cell per row
 
 
 def _equilibrium_rows(cfg: argparse.Namespace, params: AuctionParams) -> List[Block]:
-    policy = EquilibriumPolicy.from_params(params)
+    lam = win_probability(params)
     return [{
-        "k": list(policy.bid_prob),
-        "bid_probability": list(policy.bid_prob.values()),
-        "win_probability": policy.win_prob,
+        "k": list(range(2, params.n + 1)),
+        "bid_probability": bid_probabilities(math.log(lam), params.n),
+        "win_probability": lam,
     }]
 
 

@@ -10,15 +10,17 @@ CARL utility kernel.  The ratio lambda = u(c)/u(v-s) is also the
 probability that any bidding player wins the object in a given round,
 independent of k.  round_odds derives every per-round figure of the
 game from log lambda: p(k), the chance that somebody bids, the expected
-bids of a round and the chance that it ends the game.  The tests check
-p(k) independently, by bisection on the indifference condition.
+bids of a round and the chance that it ends the game.  bid_probabilities
+gives the table p(2), ..., p(n) from the same log lambda, entry for entry
+the bid of round_odds.  The tests check p(k) independently, by bisection
+on the indifference condition.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from typing import Mapping, NamedTuple
+from typing import List, NamedTuple
 
 from .utility import CarlUtility, CheckedRecord, ParameterError, UtilityRangeError
 
@@ -145,9 +147,12 @@ class RoundOdds(NamedTuple):
     hazard: float
 
 
-def _bid(log_lam: float, k: int) -> float:
-    """p(k) = 1 - lambda ** (1 / (k - 1)), as -expm1(log q)."""
-    return -math.expm1(log_lam / (k - 1))
+def bid_probabilities(log_lam: float, n: int) -> List[float]:
+    """[p(2), ..., p(n)], p(k) = 1 - lambda ** (1 / (k - 1)) as -expm1(log q).
+
+    Entry k - 2 is round_odds(log_lam, k).bid, bit for bit.
+    """
+    return [-math.expm1(log_lam / (k - 1)) for k in range(2, n + 1)]
 
 
 def round_odds(log_lam: float, k: int) -> RoundOdds:
@@ -161,7 +166,7 @@ def round_odds(log_lam: float, k: int) -> RoundOdds:
     times entrants >= 1, is positive too.
     """
     log_q = log_lam / (k - 1)
-    bid = _bid(log_lam, k)
+    bid = -math.expm1(log_q)
     busy = -math.expm1(k * log_q)
     entrants = k * bid / busy
     return RoundOdds(log_q, bid, busy, entrants, math.exp(log_lam) * entrants)
@@ -176,23 +181,4 @@ def odds_at(params: AuctionParams, k: int) -> RoundOdds:
 def bid_probability(params: AuctionParams, k: int) -> float:
     """Equilibrium probability of playing Bid with k active players."""
     return odds_at(params, k).bid
-
-
-class EquilibriumPolicy(NamedTuple):
-    """Bid-probability table p(k) for k = 2..n plus the win ratio.
-
-    ``win_prob`` is computed once per parameter set; each p(k) is
-    derived from its logarithm so the table stays strictly decreasing
-    in k even in the last floating-point bits.
-    """
-
-    win_prob: float
-    bid_prob: Mapping[int, float]
-
-    @classmethod
-    def from_params(cls, params: AuctionParams) -> "EquilibriumPolicy":
-        lam = win_probability(params)
-        log_lam = math.log(lam)
-        table = {k: _bid(log_lam, k) for k in range(2, params.n + 1)}
-        return cls(win_prob=lam, bid_prob=table)
 

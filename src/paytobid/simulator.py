@@ -53,13 +53,13 @@ import numpy as np
 from .equilibrium import (
     DEFAULT_ROUND_CAP,
     AuctionParams,
-    EquilibriumPolicy,
     GameMode,
     ParameterError,
     RoundOdds,
-    odds_at,
+    bid_probabilities,
     require_count,
     round_odds,
+    win_probability,
 )
 
 # Most raw rounds a run may be expected to play, over all its games.
@@ -162,7 +162,6 @@ class BlockRecord(NamedTuple):
     revenue: np.ndarray
     effective_length: np.ndarray
     raw_length: np.ndarray
-    truncated: np.ndarray
     rounds_to_at_most_two: np.ndarray
     reached_two_player_state: np.ndarray
     holder: np.ndarray
@@ -171,9 +170,9 @@ class BlockRecord(NamedTuple):
     won: np.ndarray
 
 
-def _bid_prob_table(params: AuctionParams) -> np.ndarray:
-    """p(k) indexed by the active count k; entries 0 and 1 are unused."""
-    return np.array([0.0, 0.0, *EquilibriumPolicy.from_params(params).bid_prob.values()])
+def _bid_prob_table(log_lam: float, n: int) -> np.ndarray:
+    """p(k) for k = 2..n, indexed by the active count k; entries 0 and 1 are unused."""
+    return np.array([0.0, 0.0, *bid_probabilities(log_lam, n)])
 
 
 def _play_block(
@@ -186,11 +185,11 @@ def _play_block(
 ) -> BlockRecord:
     """Play a block of ``size`` games in lockstep under the module's game rules.
 
-    A game stops flagged as truncated after ``round_cap`` effective
-    rounds.  Each engine asks ``rng`` once per step, keeps the running
-    games' state compact in slot order and tests the cap only from step
-    ``round_cap`` on, since a game plays at most one effective round per
-    step.
+    A game stops as truncated, with winner -1, after ``round_cap``
+    effective rounds.  Each engine asks ``rng`` once per step, keeps the
+    running games' state compact in slot order and tests the cap only
+    from step ``round_cap`` on, since a game plays at most one effective
+    round per step.
     """
     play = _play_count_block if mode is GameMode.NO_REENTRY else _play_roster_block
     return play(params, bid_prob, rng, size, round_cap)
@@ -281,7 +280,6 @@ def _play_roster_block(params, bid_prob, rng, size, round_cap) -> BlockRecord:
         revenue=_revenue(params, winner, bid_counts.sum(axis=1)),
         effective_length=ended[:, n],
         raw_length=raw,
-        truncated=winner < 0,
         rounds_to_at_most_two=untracked,
         reached_two_player_state=untracked.astype(bool),
         holder=np.broadcast_to(np.arange(size)[:, None], (size, n)),
@@ -370,7 +368,6 @@ def _play_count_block(params, bid_prob, rng, size, round_cap) -> BlockRecord:
         revenue=_revenue(params, winner, np.bincount(holder, players * bid_counts, size)),
         effective_length=effective,
         raw_length=raw,
-        truncated=winner < 0,
         rounds_to_at_most_two=rounds_to_two,
         reached_two_player_state=reached_two,
         holder=holder,
@@ -489,8 +486,9 @@ def run_replications(
         raise ParameterError(f"master seed must be below 2**128, got {master_seed!r}")
     if not math.isfinite(initial_wealth):
         raise ParameterError(f"initial wealth must be finite, got {initial_wealth!r}")
-    bid_prob = _bid_prob_table(params)
-    odds = odds_at(params, params.n)
+    log_lam = math.log(win_probability(params))
+    bid_prob = _bid_prob_table(log_lam, params.n)
+    odds = round_odds(log_lam, params.n)
     cost, reason = _game_cost(params, mode, odds, round_cap)
     if cost * odds.busy <= 1.0 / odds.busy:  # a game waits longer than it lasts
         reason = f"all {params.n} players pass with chance 1 - {odds.busy:.3g}"
@@ -511,9 +509,10 @@ def run_replications(
         for b, start in enumerate(range(0, count, block)):
             size, stream = min(block, count - start), _philox_stream(master_seed, b)
             game = _play_block(params, mode, bid_prob, stream, size, round_cap)
+            truncated = game.winner < 0
             kept = slice(None)  # the holdings of completed games, without a copy if that is all
-            if game.truncated.any():
-                kept = ~game.truncated if game.bid_counts.ndim == 2 else ~game.truncated[game.holder]
+            if truncated.any():
+                kept = ~truncated if game.bid_counts.ndim == 2 else ~truncated[game.holder]
             # Utility is evaluated for completed games only; a truncated one reads 0.
             held = _holding_utility(params, initial_wealth, game.bid_counts[kept], game.won[kept])
             if held.ndim == 2:  # re-entry: a row per game, summed along the roster
@@ -524,9 +523,9 @@ def run_replications(
             # One column per pair of _FIGURES, in its order, then the truncation flag.
             rows.append(np.column_stack((
                 game.revenue, game.effective_length, game.raw_length, per_game / params.n,
-                game.reached_two_player_state, game.rounds_to_at_most_two, game.truncated,
+                game.reached_two_player_state, game.rounds_to_at_most_two, truncated,
             )))
-            del game, kept, held, per_game  # so no two blocks' arrays are held at once
+            del game, truncated, kept, held, per_game  # so no two blocks' arrays are held at once
     summary = np.vstack(rows)
     completed = summary[summary[:, -1] == 0.0] if summary[:, -1].any() else summary
     truncated_count = int(count - completed.shape[0])

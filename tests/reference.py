@@ -22,11 +22,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from paytobid import DEFAULT_ROUND_CAP, AuctionParams, EquilibriumPolicy, GameMode, ParameterError
+from paytobid import DEFAULT_ROUND_CAP, AuctionParams, GameMode, ParameterError
 from paytobid.attrition import _transition_rows
 from paytobid.equilibrium import require_active_count, require_count, win_probability
 from paytobid.simulator import BlockRecord, _revenue, _tracks_two_players
@@ -74,13 +74,14 @@ class GameRecord:
 def play_one_game(
     params: AuctionParams,
     mode: GameMode,
-    policy: EquilibriumPolicy,
+    policy: Mapping[int, float],
     rng_stream,
     round_cap: int = DEFAULT_ROUND_CAP,
     collect_rounds: bool = True,
 ) -> GameRecord:
     """Play a single game to completion (or to the round cap).
 
+    policy maps each active count k to its bid probability p(k).
     rng_stream needs one method, random(k) -> array of k uniforms, one
     per active player in roster order; a numpy Generator fits.  Games
     that hit the cap come back flagged as truncated with no winner and
@@ -101,7 +102,7 @@ def play_one_game(
 
     while True:
         k = int(active.size)
-        p = policy.bid_prob.get(k)
+        p = policy.get(k)
         if p is None:
             raise PolicyCoverageError(
                 f"policy table has no bid probability for {k} active players"
@@ -298,7 +299,6 @@ def play_roster_block(params, bid_prob, rng, size, round_cap) -> BlockRecord:
         revenue=_revenue(params, winner, bid_counts.sum(axis=1)),
         effective_length=ended[:, n],
         raw_length=raw,
-        truncated=winner < 0,
         rounds_to_at_most_two=untracked,
         reached_two_player_state=untracked.astype(bool),
         holder=np.broadcast_to(np.arange(size)[:, None], (size, n)),
@@ -380,7 +380,6 @@ def play_count_block(params, bid_prob, rng, size, round_cap) -> BlockRecord:
         revenue=_revenue(params, winner, np.bincount(holder, players * bid_counts, size)),
         effective_length=effective,
         raw_length=raw,
-        truncated=winner < 0,
         rounds_to_at_most_two=rounds_to_two,
         reached_two_player_state=reached_two,
         holder=holder,

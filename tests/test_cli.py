@@ -22,13 +22,13 @@ import paytobid
 import paytobid.cli as cli
 from paytobid import (
     AuctionParams,
-    EquilibriumPolicy,
     SimulationResult,
     bid_probability,
     closed_form_revenue,
     win_probability,
 )
 from paytobid.cli import main
+from paytobid.equilibrium import bid_probabilities
 
 from helpers import NO_SHRINK, domain_points, make_params
 
@@ -1059,12 +1059,13 @@ def test_simulate_faults_each_page_of_its_peak_about_once():
 
 
 # Names the package no longer exports: the scalar game and the bisection
-# are the tests' references (tests/reference.py), and the hazard and the
-# entrants are fields of equilibrium.odds_at.
+# are the tests' references (tests/reference.py), the hazard and the
+# entrants are fields of equilibrium.odds_at, and the p(k) table is
+# equilibrium.bid_probabilities.
 GONE_FROM_THE_PACKAGE = (
     "GameRecord", "PolicyCoverageError", "RoundOutcome", "play_one_game",
     "indifference_residual", "solve_equilibrium_by_bisection", "hazard_rate",
-    "expected_entrants", "RiskCoefficient",
+    "expected_entrants", "RiskCoefficient", "EquilibriumPolicy",
 )
 
 
@@ -1103,15 +1104,14 @@ def test_every_exported_name_resolves():
 
 def test_exported_names_are_pinned():
     assert set(paytobid.__all__) == {
-        "AttritionProfile", "AuctionParams", "CarlUtility", "DEFAULT_ROUND_CAP",
-        "EquilibriumPolicy", "GameMode", "ParameterError", "RevenueBreakdown",
-        "RiskCoefficientError", "SeriesLengthError", "SimulationResult",
-        "UtilityRangeError", "attrition_profile", "bid_count_distribution", "bid_probability",
-        "closed_form_revenue", "endgame_time_fraction", "expected_passage_time",
-        "prob_two_player_endgame", "revenue_series", "revenue_supremum", "run_replications",
-        "win_probability",
+        "AttritionProfile", "AuctionParams", "CarlUtility", "DEFAULT_ROUND_CAP", "GameMode",
+        "ParameterError", "RevenueBreakdown", "RiskCoefficientError", "SeriesLengthError",
+        "SimulationResult", "UtilityRangeError", "attrition_profile", "bid_count_distribution",
+        "bid_probability", "closed_form_revenue", "endgame_time_fraction",
+        "expected_passage_time", "prob_two_player_endgame", "revenue_series",
+        "revenue_supremum", "run_replications", "win_probability",
     }
-    assert len(paytobid.__all__) == 23
+    assert len(paytobid.__all__) == 22
 
 
 def test_package_import_loads_no_submodule():
@@ -1236,12 +1236,12 @@ def test_list_columns_of_unequal_length_raise(fmt, lists):
 
 
 def equilibrium_table_of(n):
-    """Columns and rows of `equilibrium` at (n, 10, 0, 1, 0), from the policy."""
-    policy = EquilibriumPolicy.from_params(make_params((10.0, 0.0, 1.0), n=n))
+    """Columns and rows of `equilibrium` at (n, 10, 0, 1, 0), from the p(k) table."""
+    lam = win_probability(make_params((10.0, 0.0, 1.0), n=n))
     fixed = {"status": "OK", "reason": None, "n": n, "value": 10.0, "sale_price": 0.0,
              "bid_fee": 1.0, "rho": 0.0}
-    rows = [{**fixed, "k": k, "bid_probability": p, "win_probability": policy.win_prob}
-            for k, p in policy.bid_prob.items()]
+    rows = [{**fixed, "k": k, "bid_probability": p, "win_probability": lam}
+            for k, p in enumerate(bid_probabilities(math.log(lam), n), start=2)]
     return list(rows[0]), rows
 
 
@@ -1257,6 +1257,19 @@ def test_long_equilibrium_csv_is_byte_identical_to_csv_writer(capsys):
     code, out, err = run_cli(capsys, ["equilibrium", "--n", "3000", *BASE[2:], "--format", "csv"])
     assert (code, err) == (0, "")
     assert out == csv_writer_text(columns, rows)
+
+
+@pytest.mark.parametrize("rho", [0.0, -0.1])
+def test_equilibrium_rows_carry_the_bid_table(capsys, rho):
+    # JSON prints each float as its repr, so the rows read back bit for bit.
+    params = make_params((10.0, 0.0, 1.0), rho=rho, n=20_000)
+    code, out, err = run_cli(capsys, ["equilibrium", "--n", "20000", *BASE[2:], f"--rho={rho}"])
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["rows"]
+    lam = win_probability(params)
+    assert [row["k"] for row in rows] == list(range(2, 20_001))
+    assert [row["bid_probability"] for row in rows] == bid_probabilities(math.log(lam), 20_000)
+    assert {row["win_probability"] for row in rows} == {lam}
 
 
 # ---------------------------------------------------------------------------

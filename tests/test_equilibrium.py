@@ -9,7 +9,6 @@ import pytest
 from paytobid import (
     AuctionParams,
     CarlUtility,
-    EquilibriumPolicy,
     ParameterError,
     RiskCoefficientError,
     attrition_profile,
@@ -20,7 +19,7 @@ from paytobid import (
     prob_two_player_endgame,
     win_probability,
 )
-from paytobid.equilibrium import round_odds
+from paytobid.equilibrium import bid_probabilities, round_odds
 
 from helpers import FEASIBLE_COMBOS, FULL_COMBOS, MONEY_GRID, make_params, mp_utility
 from reference import indifference_residual, solve_equilibrium_by_bisection
@@ -72,7 +71,6 @@ PARAMS = AuctionParams(n=3, value=10.0, sale_price=0.0, bid_fee=1.0, rho=-0.1)
     [
         PARAMS,
         CarlUtility(-0.1),
-        EquilibriumPolicy.from_params(PARAMS),
         closed_form_revenue(PARAMS),
     ],
     ids=lambda record: type(record).__name__,
@@ -190,27 +188,28 @@ def test_mixing_interior(money, rho):
 
 def test_policy_table_matches_pointwise_formula():
     params = make_params(MONEY_GRID[1], rho=-0.05, n=8)
-    policy = EquilibriumPolicy.from_params(params)
-    assert sorted(policy.bid_prob) == list(range(2, 9))
-    assert policy.win_prob == pytest.approx(win_probability(params), rel=1e-15)
-    for k, p in policy.bid_prob.items():
+    lam = win_probability(params)
+    table = bid_probabilities(math.log(lam), params.n)
+    assert len(table) == 7  # p(2), ..., p(8)
+    for k, p in enumerate(table, start=2):
         assert p == pytest.approx(bid_probability(params, k), rel=1e-15)
-        assert p == pytest.approx(1.0 - policy.win_prob ** (1.0 / (k - 1)), rel=1e-12)
+        assert p == pytest.approx(1.0 - lam ** (1.0 / (k - 1)), rel=1e-12)
 
 
 @pytest.mark.parametrize("rho", [0.0, -0.02, -0.1])
 def test_policy_table_is_round_odds_bit_for_bit(rho):
     params = make_params(MONEY_GRID[1], rho=rho, n=20_000)
-    policy = EquilibriumPolicy.from_params(params)
-    log_lam = math.log(policy.win_prob)
-    assert list(policy.bid_prob) == list(range(2, 20_001))
-    differ = [k for k, p in policy.bid_prob.items() if p.hex() != round_odds(log_lam, k).bid.hex()]
+    log_lam = math.log(win_probability(params))
+    table = bid_probabilities(log_lam, params.n)
+    assert len(table) == 20_000 - 1
+    differ = [k for k, p in enumerate(table, start=2)
+              if p.hex() != round_odds(log_lam, k).bid.hex()]
     assert not differ, differ[:5]
 
 
 def test_policy_takes_no_wealth_input():
     assert set(inspect.signature(bid_probability).parameters) == {"params", "k"}
-    assert set(inspect.signature(EquilibriumPolicy.from_params).parameters) == {"params"}
+    assert list(inspect.signature(bid_probabilities).parameters) == ["log_lam", "n"]
 
 
 def test_attrition_figures_take_the_start_from_params():

@@ -15,7 +15,6 @@ from paytobid import (
     DEFAULT_ROUND_CAP,
     AuctionParams,
     CarlUtility,
-    EquilibriumPolicy,
     GameMode,
     ParameterError,
     SimulationResult,
@@ -24,7 +23,7 @@ from paytobid import (
     run_replications,
     win_probability,
 )
-from paytobid.equilibrium import bid_probability, odds_at
+from paytobid.equilibrium import bid_probabilities, bid_probability, odds_at
 from paytobid.simulator import (
     _FIGURES,
     BLOCK_SIZE,
@@ -115,9 +114,20 @@ def per_player_bids(block, n):
     return np.repeat(block.bid_counts[order], block.players[order]).reshape(-1, n)
 
 
+def policy_of(params):
+    """p(k) by active count k = 2..n, the mapping play_one_game reads."""
+    log_lam = math.log(win_probability(params))
+    return dict(zip(range(2, params.n + 1), bid_probabilities(log_lam, params.n)))
+
+
+def draw_table(params):
+    """The simulator's p(k) table of params, indexed by k."""
+    return _bid_prob_table(math.log(win_probability(params)), params.n)
+
+
 def reentry_setup(n=3):
     params = make_params((10.0, 0.0, 1.0), n=n)
-    return params, EquilibriumPolicy.from_params(params)
+    return params, policy_of(params)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +170,7 @@ def test_all_pass_round_is_replayed():
 
 def test_no_reentry_survivors_are_the_bidders():
     params = make_params((10.0, 0.0, 1.0), n=4)
-    policy = EquilibriumPolicy.from_params(params)
+    policy = policy_of(params)
     record = play_one_game(
         params,
         GameMode.NO_REENTRY,
@@ -196,7 +206,7 @@ def test_reentry_keeps_everyone_active():
 
 def test_two_survivors_who_both_bid_stay_at_two():
     params = make_params((10.0, 0.0, 1.0), n=3)
-    policy = EquilibriumPolicy.from_params(params)
+    policy = policy_of(params)
     record = play_one_game(
         params,
         GameMode.NO_REENTRY,
@@ -226,14 +236,14 @@ def test_round_cap_truncates_with_flag():
 
 def test_missing_policy_entry_is_a_configuration_error():
     params = make_params((10.0, 0.0, 1.0), n=4)
-    partial = EquilibriumPolicy(win_prob=0.1, bid_prob={2: 0.9})
+    partial = {2: 0.9}
     with pytest.raises(PolicyCoverageError):
         play_one_game(params, GameMode.WITH_REENTRY, partial, ForcedStream([[BID] * 4]))
 
 
 def test_accounting_identity_per_game():
     params = make_params((100.0, 5.0, 0.5), n=4)
-    policy = EquilibriumPolicy.from_params(params)
+    policy = policy_of(params)
     for index in range(50):
         record = play_one_game(
             params, GameMode.WITH_REENTRY, policy, _philox_stream(99, index)
@@ -252,7 +262,7 @@ def test_accounting_identity_per_game():
 
 def test_no_reentry_round_chain_is_consistent():
     params = attrition_params(5, 10)
-    policy = EquilibriumPolicy.from_params(params)
+    policy = policy_of(params)
     for index in range(50):
         record = play_one_game(
             params, GameMode.NO_REENTRY, policy, _philox_stream(123, index)
@@ -364,7 +374,7 @@ def test_replication_count_validated():
     ]:
         with pytest.raises(ParameterError):
             run_replications(params, GameMode.WITH_REENTRY, count, 1, **settings)
-    policy = EquilibriumPolicy.from_params(params)
+    policy = policy_of(params)
     for round_cap in (0, 2.5, True):
         with pytest.raises(ParameterError):
             play_one_game(params, GameMode.WITH_REENTRY, policy, _philox_stream(1, 0), round_cap)
@@ -393,7 +403,7 @@ def test_symmetric_bid_frequencies_chi_square():
     # Equilibrium play is exchangeable across players: per-player bid
     # totals should look like draws from a uniform split (1% level).
     params = make_params((10.0, 0.0, 1.0), n=4)
-    policy = EquilibriumPolicy.from_params(params)
+    policy = policy_of(params)
     counts = np.zeros(4, dtype=np.int64)
     for index in range(3_000):
         record = play_one_game(
@@ -421,7 +431,7 @@ DIFFERENTIAL_LEVEL = 1e-3
 @pytest.mark.parametrize("mode", list(GameMode))
 def test_batched_engine_matches_scalar_distributions(mode):
     params = make_params((10.0, 0.0, 1.0), rho=-0.1, n=4)
-    policy = EquilibriumPolicy.from_params(params)
+    policy = policy_of(params)
     scalar = [
         play_one_game(
             params, mode, policy, _philox_stream(4242, index), collect_rounds=False
@@ -432,12 +442,12 @@ def test_batched_engine_matches_scalar_distributions(mode):
     block = _play_block(
         params,
         mode,
-        _bid_prob_table(params),
+        draw_table(params),
         np.random.Generator(np.random.Philox(key=4343)),
         DIFFERENTIAL_GAMES,
         DEFAULT_ROUND_CAP,
     )
-    assert not block.truncated.any()
+    assert (block.winner >= 0).all()
     samples = {
         "effective length": ([g.effective_length for g in scalar], block.effective_length),
         "raw length": ([g.raw_length for g in scalar], block.raw_length),
@@ -535,12 +545,12 @@ def test_effective_length_follows_its_exact_law(mode, n):
     block = _play_block(
         params,
         mode,
-        _bid_prob_table(params),
+        draw_table(params),
         np.random.Generator(np.random.Philox(key=LENGTH_LAW_SEEDS[mode, n])),
         DIFFERENTIAL_GAMES,
         DEFAULT_ROUND_CAP,
     )
-    assert not block.truncated.any()
+    assert (block.winner >= 0).all()
     p_value = length_chi2_p_value(block.effective_length, law)
     assert p_value > DIFFERENTIAL_LEVEL, f"{mode.value} n={n}: p = {p_value:.1e}"
 
@@ -551,8 +561,8 @@ def test_single_game_block_replays_the_scalar_game(round_cap):
     # raw round, exactly as play_one_game does, so on the same stream
     # both engines must play the same game.
     params = make_params((10.0, 0.0, 1.0), n=3)
-    policy = EquilibriumPolicy.from_params(params)
-    table = _bid_prob_table(params)
+    policy = policy_of(params)
+    table = draw_table(params)
     for index in range(200):
         game = play_one_game(
             params, GameMode.WITH_REENTRY, policy, _philox_stream(8, index), round_cap
@@ -568,7 +578,7 @@ def test_single_game_block_replays_the_scalar_game(round_cap):
         assert block.revenue[0] == game.revenue
         assert block.effective_length[0] == game.effective_length
         assert block.raw_length[0] == game.raw_length
-        assert block.truncated[0] == game.truncated
+        assert (block.winner[0] < 0) == game.truncated
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +616,7 @@ def test_block_asks_its_stream_once_per_step(mode, round_cap):
     params = make_params((10.0, 0.0, 1.0), rho=-0.1, n=4)
     log = []
     block = _play_block(
-        params, mode, _bid_prob_table(params), RecordingStream(900, log), 47, round_cap
+        params, mode, draw_table(params), RecordingStream(900, log), 47, round_cap
     )
     # Step t asks for the games still running, i.e. those whose raw
     # length is at least t, in slot order.
@@ -617,7 +627,7 @@ def test_block_asks_its_stream_once_per_step(mode, round_cap):
     else:  # one bidder count per running game, asked at its active count
         assert [len(counts) for counts in log] == running
         assert all(2 <= k <= params.n for counts in log for k in counts)
-    assert block.truncated.any() == (round_cap == 4)
+    assert (block.winner < 0).any() == (round_cap == 4)
 
 
 # Frozen results of two small runs of the block stream contract: block b
@@ -680,14 +690,15 @@ def test_stream_contract_is_pinned(mode):
 # of the re-entry games and two thirds of the others hit the cap, so the
 # path that leaves truncated games out of the utility column and out of
 # every mean is held byte for byte.  Each entry is (params, seed, round
-# cap, utility kernel calls, figures); the kernel runs once per amount of
-# net money that a completed game's holdings reach.
+# cap, utility kernel calls, figures); the kernel runs twice for the win
+# ratio, which a run forms once, and once per amount of net money that a
+# completed game's holdings reach.
 CAPPED_RUNS = {
     GameMode.WITH_REENTRY: (
         AuctionParams(n=10, value=100.0, sale_price=0.0, bid_fee=1.0, rho=-0.01),
         79,
         40,
-        56,
+        54,
         {
             "truncated_replications": 1053,
             "mean_revenue": 71.96404725218285,
@@ -708,7 +719,7 @@ CAPPED_RUNS = {
         AuctionParams(n=6, value=100.0, sale_price=0.0, bid_fee=1.0, rho=-0.01),
         80,
         30,
-        64,
+        62,
         {
             "truncated_replications": 2022,
             "mean_revenue": 30.494887525562373,
@@ -744,7 +755,7 @@ def test_state_width_does_not_change_the_games(mode):
     # A round cap of 2**31 or more needs int64 counts, and any smaller cap
     # fits int32; on the same stream both must play the same games.
     params = make_params((10.0, 0.0, 1.0), rho=-0.1, n=4)
-    table = _bid_prob_table(params)
+    table = draw_table(params)
     narrow, wide = (
         _play_block(params, mode, table, _philox_stream(6, 0), 500, cap) for cap in (10**7, 2**31)
     )
@@ -818,7 +829,7 @@ def test_block_is_the_reference_block(mode, n, ratio, rho, size, round_cap, key)
     # tail as one scalar binomial where the reference draws one per
     # game; on the same stream both must play the same games.
     params = AuctionParams(n=n, value=ratio, sale_price=0.0, bid_fee=1.0, rho=rho)
-    table = _bid_prob_table(params)
+    table = draw_table(params)
     streams = (np.random.Generator(np.random.Philox(key=key)) for _ in range(2))
     block, reference = (
         play(params, mode, table, stream, size, round_cap)
@@ -836,7 +847,7 @@ def test_block_is_the_reference_block(mode, n, ratio, rho, size, round_cap, key)
 
 def test_count_block_accounts_for_every_round():
     params = make_params((100.0, 5.0, 0.5), n=5)
-    table = _bid_prob_table(params)
+    table = draw_table(params)
     script = ScriptedBinomials(
         table,
         [
@@ -852,7 +863,7 @@ def test_count_block_accounts_for_every_round():
     assert not script.rounds
     assert block.effective_length.tolist() == [4, 3, 1]
     assert block.raw_length.tolist() == [6, 4, 1]  # 2, 1 and 0 replays
-    assert not block.truncated.any()
+    assert (block.winner >= 0).all()
     assert block.rounds_to_at_most_two.tolist() == [2, 2, 1]
     assert block.reached_two_player_state.tolist() == [True, True, False]
     # Players who stop after round r hold r - 1 bids; the winner holds
@@ -870,11 +881,10 @@ def test_count_block_accounts_for_every_round():
 
 def test_count_block_truncates_at_the_round_cap():
     params = make_params((100.0, 5.0, 0.5), n=4)
-    table = _bid_prob_table(params)
+    table = draw_table(params)
     script = ScriptedBinomials(table, [([4], [3]), ([3], [0]), ([3], [3]), ([3], [2])])
     block = _play_block(params, GameMode.NO_REENTRY, table, script, 1, 3)
     assert not script.rounds
-    assert block.truncated.tolist() == [True]
     assert block.winner.tolist() == [-1]
     assert block.effective_length.tolist() == [3]
     assert block.raw_length.tolist() == [4]
@@ -891,7 +901,7 @@ def test_count_block_holdings_cover_the_roster():
     block = _play_block(
         params,
         GameMode.NO_REENTRY,
-        _bid_prob_table(params),
+        draw_table(params),
         _philox_stream(5, 0),
         500,
         DEFAULT_ROUND_CAP,
